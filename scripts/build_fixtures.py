@@ -1,10 +1,12 @@
 #!/usr/bin/env python3
 """Regenerate the pinned scheme fixtures under src/cdscover/data.
 
-Every construction here is deterministic (fixed seeds, fixed structures), so
-rerunning the script reproduces the committed files byte for byte. Each
-fixture is re-verified before being written; the script refuses to write
-anything that fails its checks.
+Usage: ``python scripts/build_fixtures.py [OUTPUT_DIR]``; the output
+directory defaults to the package data directory. Every construction here
+is deterministic (fixed seeds, fixed structures), so rerunning the script
+reproduces the committed files byte for byte. Each fixture is re-verified
+before being written; the script refuses to write anything that fails its
+checks.
 """
 
 from __future__ import annotations
@@ -20,18 +22,18 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 import cdscover as cc
 from cdscover.bounds import solve_scheme_for_noise
 from cdscover.fields import FieldMatrix, PrimeField
-from cdscover.graph import a_node, b_node, node_key
+from cdscover.graph import a_node, b_node, unqualified_classes
 from cdscover.linalg import cauchy_matrix, rank_rref
 from cdscover.scheme import LinearScheme, serialize_scheme
 
 DATA = Path(__file__).resolve().parent.parent / "src" / "cdscover" / "data"
 
 
-def write_scheme(name: str, scheme: LinearScheme, provenance: str) -> None:
+def write_scheme(out: Path, name: str, scheme: LinearScheme, provenance: str) -> None:
     obj = json.loads(serialize_scheme(scheme))
     obj["name"] = name
     obj["provenance"] = provenance
-    (DATA / f"scheme-{name}.json").write_text(json.dumps(obj, indent=2) + "\n", encoding="utf-8")
+    (out / f"scheme-{name}.json").write_text(json.dumps(obj, indent=2) + "\n", encoding="utf-8")
     print(f"wrote scheme-{name}.json")
 
 
@@ -155,26 +157,6 @@ FIG8_ATOMS = [
 ]
 
 
-def _unqualified_classes(inst, holders):
-    uadj = inst.unqualified_adjacency()
-    seen, groups = set(), []
-    for start in sorted(holders, key=node_key):
-        if start in seen:
-            continue
-        group, stack = [], [start]
-        seen.add(start)
-        while stack:
-            cur = stack.pop()
-            group.append(cur)
-            for nb in uadj[cur]:
-                if nb in holders and nb not in seen:
-                    seen.add(nb)
-                    stack.append(nb)
-        groups.append(tuple(sorted(group, key=node_key)))
-    groups.sort(key=lambda g: node_key(g[0]))
-    return groups
-
-
 def build_fig8_scheme() -> LinearScheme:
     """Structured construction: each noise symbol carries one payload.
 
@@ -237,7 +219,8 @@ def build_fig8_scheme() -> LinearScheme:
             vec = cauchy.array[idx - 1].copy()
         payload_vec[t] = vec
 
-    classes = {t: _unqualified_classes(inst, holders[t]) for t in range(n_atoms)}
+    uadj = inst.unqualified_adjacency()
+    classes = {t: unqualified_classes(holders[t], uadj) for t in range(n_atoms)}
     coeff = {
         t: {n: k for k, grp in enumerate(classes[t], start=1) for n in grp} for t in range(n_atoms)
     }
@@ -320,15 +303,17 @@ def build_fig5_broken(fig5_synth: LinearScheme) -> LinearScheme:
     return broken
 
 
-def main() -> None:
+def main(out: Path = DATA) -> None:
     fig5_synth = build_fig5_synth()
     write_scheme(
+        out,
         "fig5-synth",
         fig5_synth,
         "Deterministic synthesizer output for the fig5 instance (rho=6: L=5, N=6 over F_11, "
         "rate 5/12). Pinned so downstream consumers can detect any construction drift.",
     )
     write_scheme(
+        out,
         "broken-fig5-leaky",
         build_fig5_broken(fig5_synth),
         "Negative fixture for the fig5 instance: one entry of F_A1 bumped so an unqualified "
@@ -337,6 +322,7 @@ def main() -> None:
     )
     fig2_scheme = build_fig2_scheme()
     write_scheme(
+        out,
         "fig2-rate-2-5",
         fig2_scheme,
         "Rate-2/5 scheme (L=4, N=5, p=3, L_Z=9) solved from hand-pinned noise spaces that "
@@ -347,12 +333,14 @@ def main() -> None:
     )
     leaky, garbled = build_broken(fig2_scheme)
     write_scheme(
+        out,
         "broken-leaky",
         leaky,
         "Negative fixture: fig2-rate-2-5 with one entry of F_A3 bumped so the unqualified "
         "edges at A3 leak; fails the linear verifier and the entropic oracle on (3,2).",
     )
     write_scheme(
+        out,
         "broken-garbled",
         garbled,
         "Negative fixture: fig2-rate-2-5 with A1's z4 slot forced equal to B1's, so the "
@@ -360,6 +348,7 @@ def main() -> None:
     )
     fig8_scheme = build_fig8_scheme()
     write_scheme(
+        out,
         "fig8-rate-7-18",
         fig8_scheme,
         "Rate-7/18 scheme (L=7, N=9, p=13, L_Z=13). Thirteen unit noise symbols whose holder "
@@ -373,4 +362,4 @@ def main() -> None:
 
 
 if __name__ == "__main__":
-    main()
+    main(Path(sys.argv[1]) if len(sys.argv) > 1 else DATA)

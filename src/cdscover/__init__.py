@@ -12,7 +12,6 @@ from .linalg import cauchy_matrix, rank, rank_rref, rowspace_intersection
 from .graph import (
     CdsInstance,
     CoverWitness,
-    CoverSearchLimit,
     InstanceError,
     QualifiedComponent,
     RhoResult,

@@ -24,15 +24,13 @@ from .linalg import nullspace
 from .scheme import LinearScheme, rate, verify_linear
 
 
-def linear_converse_bound(
-    inst: CdsInstance, force_exact: bool = False
-) -> tuple[Fraction, CoverWitness | None]:
+def linear_converse_bound(inst: CdsInstance) -> tuple[Fraction, CoverWitness | None]:
     """Upper bound on the rate of any linear scheme, with the rho witness.
 
     (rho-1)/(2*rho) for finite rho; exactly 1/2 (and no witness) when rho
     is infinite.
     """
-    r = rho(inst, force_exact=force_exact)
+    r = rho(inst)
     if r.is_infinite:
         return Fraction(1, 2), None
     return Fraction(r.value - 1, 2 * r.value), r.witness
@@ -176,13 +174,13 @@ class Verdict:
         }
 
 
-def classify_linear_capacity(inst: CdsInstance, force_exact: bool = False) -> Verdict:
+def classify_linear_capacity(inst: CdsInstance) -> Verdict:
     """Exact capacity when achievability or catalog knowledge settles it,
     else the covering upper bound (flagged open when catalog knowledge
     shows an unresolved gap below the bound)."""
     from . import catalog
 
-    bound, witness = linear_converse_bound(inst, force_exact=force_exact)
+    bound, witness = linear_converse_bound(inst)
     comps = qualified_components(inst)
     if witness is not None and all(c.kind in ("path", "cycle") for c in comps):
         return Verdict(

@@ -162,9 +162,6 @@ class FieldMatrix:
         self._check_same_field(other)
         return FieldMatrix(np.mod(self._a - other._a, self.field.p), self.field)
 
-    def scale(self, c: int) -> "FieldMatrix":
-        return FieldMatrix(np.mod(self._a * self.field.reduce(c), self.field.p), self.field)
-
     def transpose(self) -> "FieldMatrix":
         return FieldMatrix(self._a.T.copy(), self.field)
 

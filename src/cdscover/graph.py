@@ -14,8 +14,7 @@ import json
 from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import inf
-from typing import Iterator, Sequence
+from typing import Collection, Iterator, Sequence
 
 import numpy as np
 
@@ -24,10 +23,6 @@ Edge = tuple[str, str]  # (A-node, B-node), e.g. ("A1", "B2")
 
 class InstanceError(ValueError):
     """Malformed or inconsistent instance data."""
-
-
-class CoverSearchLimit(RuntimeError):
-    """Exact cover search refused: too many qualified edges in the component."""
 
 
 def node_key(node: str) -> tuple[int, int]:
@@ -264,7 +259,7 @@ def _cycle_traversal(nodes: tuple[str, ...], adj: dict[str, set[str]]) -> tuple[
     return tuple(order)
 
 
-# -- internal qualified edges and unqualified paths ----------------------------
+# -- unqualified classes and candidate paths -----------------------------------
 
 
 def _bfs_dist(adj: dict[str, set[str]], sources: Sequence[str]) -> dict[str, int]:
@@ -279,21 +274,47 @@ def _bfs_dist(adj: dict[str, set[str]], sources: Sequence[str]) -> dict[str, int
     return dist
 
 
-def _simple_paths(adj: dict[str, set[str]], start: str, goal: str, max_edges: int) -> Iterator[tuple[str, ...]]:
-    """All simple paths start..goal with at most max_edges edges, DFS order."""
-    dist_goal = _bfs_dist(adj, [goal])
-    if start not in dist_goal or dist_goal[start] > max_edges:
+def unqualified_classes(
+    nodes: Collection[str], uadj: dict[str, set[str]]
+) -> tuple[tuple[str, ...], ...]:
+    """Unqualified connected components of the subgraph induced by ``nodes``.
+
+    Each class is sorted by ``node_key`` and the classes are ordered by
+    their least node; a node with no unqualified neighbour in ``nodes`` is
+    a singleton class.
+    """
+    nodes = set(nodes)
+    seen: set[str] = set()
+    groups = []
+    for start in nodes:
+        if start in seen:
+            continue
+        group = []
+        stack = [start]
+        seen.add(start)
+        while stack:
+            cur = stack.pop()
+            group.append(cur)
+            for nb in uadj[cur] & nodes:
+                if nb not in seen:
+                    seen.add(nb)
+                    stack.append(nb)
+        groups.append(tuple(sorted(group, key=node_key)))
+    groups.sort(key=lambda g: node_key(g[0]))
+    return tuple(groups)
+
+
+def _simple_paths(adj: dict[str, set[str]], start: str, goal: str) -> Iterator[tuple[str, ...]]:
+    """All simple paths start..goal, in node_key-lexicographic order."""
+    reach = _bfs_dist(adj, [goal])
+    if start not in reach:
         return
     path = [start]
     on_path = {start}
 
     def rec() -> Iterator[tuple[str, ...]]:
-        cur = path[-1]
-        used = len(path) - 1
-        for nb in sorted(adj[cur], key=node_key):
-            if nb in on_path:
-                continue
-            if used + 1 + dist_goal.get(nb, inf) > max_edges:
+        for nb in sorted(adj[path[-1]], key=node_key):
+            if nb in on_path or nb not in reach:
                 continue
             if nb == goal:
                 yield tuple(path) + (goal,)
@@ -307,31 +328,21 @@ def _simple_paths(adj: dict[str, set[str]], start: str, goal: str, max_edges: in
     yield from rec()
 
 
-def internal_qualified_edge_candidates(
-    inst: CdsInstance, max_path_len: int | None = None
-) -> list[tuple[Edge, tuple[str, ...]]]:
-    """All (qualified edge e, unqualified path P between e's endpoints).
+def internal_qualified_edge_candidates(inst: CdsInstance) -> list[tuple[Edge, tuple[str, ...]]]:
+    """All (qualified edge e, unqualified simple path P between e's endpoints).
 
-    Restricting P's endpoints to e's endpoints loses no generality for the
-    minimum: if e = {u, v} joins two interior nodes of a path P', the
-    sub-path of P' between u and v is itself an unqualified path whose node
-    set is contained in P''s, so any cover of P' covers it and the minimum
-    over the restricted pairs equals the unrestricted minimum.
+    ``rho`` does not list these paths; this enumeration is the reference
+    the tests compare it against. Restricting P's endpoints to e's
+    endpoints loses no generality for the minimum: if e = {u, v} joins two
+    interior nodes of a path P', the sub-path of P' between u and v is
+    itself an unqualified path whose node set is contained in P''s, so any
+    cover of P' covers it.
     """
-    if max_path_len is None:
-        max_path_len = inst.a_count + inst.b_count
-    if max_path_len < 1:
-        raise InstanceError("max_path_len must be at least 1")
     uadj = inst.unqualified_adjacency()
-    out: list[tuple[Edge, tuple[str, ...]]] = []
-    for e in inst.qualified_node_edges():
-        u, v = e
-        for path in _simple_paths(uadj, u, v, max_path_len):
-            out.append((e, path))
-    return out
+    return [(e, path) for e in inst.qualified_node_edges() for path in _simple_paths(uadj, *e)]
 
 
-# -- connected edge covers ------------------------------------------------------
+# -- connected edge sets ----------------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -406,116 +417,60 @@ def _validate_pair(inst: CdsInstance, e: Edge, path: Sequence[str]) -> None:
             raise InstanceError(f"path step {a}-{b} is not an unqualified edge")
 
 
-def min_connected_edge_cover(
-    inst: CdsInstance,
-    e: Edge,
-    path: Sequence[str],
-    force_exact: bool = False,
-    exact_edge_limit: int = 20,
-) -> CoverWitness | None:
-    """Minimum connected qualified edge cover for (e, P); None means infinite.
-
-    Branch and bound over qualified edges grown outward from ``e`` (so every
-    explored set is connected by construction), seeded with a greedy cover
-    as the initial upper bound. Exact; components with more than
-    ``exact_edge_limit`` qualified edges are refused unless ``force_exact``.
-    """
-    _validate_pair(inst, e, path)
-    return _cover_search(inst, e, tuple(path), None, force_exact, exact_edge_limit)
-
-
-def _cover_search(
-    inst: CdsInstance,
-    e: Edge,
-    path: tuple[str, ...],
-    size_cap: int | None,
-    force_exact: bool,
-    exact_edge_limit: int,
-) -> CoverWitness | None:
-    qadj = inst.qualified_adjacency()
-    target = set(path)
-    comp = set(_bfs_dist(qadj, [e[0]]))
-    if not target <= comp:
-        return None
-    comp_edges = sorted(
-        (edge for edge in inst.qualified_node_edges() if edge[0] in comp),
-        key=lambda edge: (node_key(edge[0]), node_key(edge[1])),
-    )
-    if len(comp_edges) > exact_edge_limit and not force_exact:
-        raise CoverSearchLimit(
-            f"component has {len(comp_edges)} qualified edges (limit {exact_edge_limit}); "
-            "pass force_exact=True to search anyway"
-        )
-    incident: dict[str, list[Edge]] = {n: [] for n in comp}
-    for edge in comp_edges:
+def _incident_edges(inst: CdsInstance) -> dict[str, list[Edge]]:
+    incident: dict[str, list[Edge]] = {n: [] for n in inst.nodes()}
+    for edge in inst.qualified_node_edges():
         incident[edge[0]].append(edge)
         incident[edge[1]].append(edge)
+    return incident
 
-    dist_to = {w: _bfs_dist(qadj, [w]) for w in target}
 
-    def lower_bound(m_size: int, tree: set[str]) -> float:
-        # tree == set of nodes covered by the current edge set
-        uncovered = target - tree
-        if not uncovered:
-            return m_size
-        far = max(min(dist_to[w][t] for t in tree) for w in uncovered)
-        return m_size + max(far, -(-len(uncovered) // 2))
+def _connected_edge_sets(
+    incident: dict[str, list[Edge]], e: Edge
+) -> Iterator[list[tuple[tuple[Edge, ...], frozenset[str]]]]:
+    """Every connected qualified edge set containing ``e``, one size at a time.
 
-    def greedy() -> list[Edge] | None:
-        m = [e]
-        in_m = {e}
-        tree = set(e)
-        while not target <= tree:
-            cands = {edge for n in tree for edge in incident[n] if edge not in in_m}
-            if not cands:
-                return None
-            best = None
-            best_score = None
-            for edge in sorted(cands):
-                gain = len((set(edge) - tree) & target)
-                new_node = edge[0] if edge[0] not in tree else edge[1]
-                near = min(
-                    (dist_to[w][new_node] for w in target - tree if new_node in dist_to[w]),
-                    default=0,
-                )
-                score = (-gain, near, edge)
-                if best_score is None or score < best_score:
-                    best_score = score
-                    best = edge
-            m.append(best)
-            in_m.add(best)
-            tree.update(best)
-        return m
+    Yields the list of (edges, their nodes) of size 1, 2, ... until none is
+    left. Each set is produced exactly once: a set grows only by an edge of
+    its frontier (qualified edges touching it), and the frontier edges
+    before the chosen one are dropped from that branch for good. A new
+    node brings its edges to nodes outside the set onto the frontier; its
+    edges to nodes inside the set were already there or already dropped.
+    """
+    frontier = tuple(f for n in e for f in incident[n] if f != e)
+    level = [((e,), frozenset(e), frontier)]
+    while level:
+        yield [(edges, nodes) for edges, nodes, _ in level]
+        grown = []
+        for edges, nodes, frontier in level:
+            for i, f in enumerate(frontier):
+                rest = frontier[i + 1 :]
+                new = [n for n in f if n not in nodes]
+                if new:
+                    w = new[0]
+                    rest += tuple(g for g in incident[w] if g[0] not in nodes and g[1] not in nodes)
+                    grown.append((edges + (f,), nodes | {w}, rest))
+                else:
+                    grown.append((edges + (f,), nodes, rest))
+        level = grown
 
-    seed = greedy()
-    best_size = inf if seed is None else len(seed)
-    best_cover = None if seed is None else tuple(sorted(seed))
-    if size_cap is not None and best_size > size_cap:
-        best_size, best_cover = size_cap + 1, None
 
-    visited: set[frozenset[Edge]] = set()
+def min_connected_edge_cover(inst: CdsInstance, e: Edge, path: Sequence[str]) -> CoverWitness | None:
+    """Minimum connected qualified edge cover for (e, P); None means infinite.
 
-    def dfs(m: frozenset[Edge], tree: set[str]) -> None:
-        nonlocal best_size, best_cover
-        if target <= tree:
-            key = tuple(sorted(m))
-            if len(m) < best_size or (len(m) == best_size and (best_cover is None or key < best_cover)):
-                best_size, best_cover = len(m), key
-            return
-        if lower_bound(len(m), tree) > best_size:
-            return
-        expansions = sorted({edge for n in tree for edge in incident[n] if edge not in m})
-        for edge in expansions:
-            m2 = m | {edge}
-            if m2 in visited:
-                continue
-            visited.add(m2)
-            dfs(m2, tree | set(edge))
-
-    dfs(frozenset([e]), set(e))
-    if best_cover is None:
+    Connected edge sets containing ``e`` are searched in increasing size;
+    among the smallest that cover every node of P, the least by
+    ``tuple(sorted(cover))`` is returned.
+    """
+    _validate_pair(inst, e, path)
+    target = set(path)
+    if not target <= set(_bfs_dist(inst.qualified_adjacency(), [e[0]])):
         return None
-    return CoverWitness(edge=e, path=path, cover=frozenset(best_cover))
+    for level in _connected_edge_sets(_incident_edges(inst), e):
+        covers = [tuple(sorted(edges)) for edges, nodes in level if target <= nodes]
+        if covers:
+            return CoverWitness(edge=e, path=tuple(path), cover=frozenset(min(covers)))
+    return None  # unreachable: the whole component covers P
 
 
 @dataclass(frozen=True)
@@ -528,30 +483,63 @@ class RhoResult:
         return self.value is None
 
 
-def rho(
-    inst: CdsInstance,
-    max_path_len: int | None = None,
-    force_exact: bool = False,
-    exact_edge_limit: int = 20,
-) -> RhoResult:
+def _joined(uadj: dict[str, set[str]], nodes: Collection[str], u: str, v: str) -> bool:
+    return any(u in group and v in group for group in unqualified_classes(nodes, uadj))
+
+
+def _least_path(uadj: dict[str, set[str]], nodes: frozenset[str], u: str, v: str) -> tuple[str, ...]:
+    """The node_key-lexicographically least simple unqualified u-v path inside
+    ``nodes``: each step takes the least neighbour from which v can still be
+    reached without revisiting the path."""
+    path = [u]
+    while path[-1] != v:
+        rest = nodes - set(path)
+        reach = next(group for group in unqualified_classes(rest, uadj) if v in group)
+        path.append(min((n for n in uadj[path[-1]] if n in reach), key=node_key))
+    return tuple(path)
+
+
+def rho(inst: CdsInstance) -> RhoResult:
     """min over all (e, P) of the connected edge cover size, with witness.
 
-    Candidates are scanned in lexicographic order and the running best size
-    is used to prune later cover searches, so the returned witness is the
-    lexicographically least among minimum-size ones regardless of any
-    evaluation order.
+    rho is the least size of a connected qualified edge set C containing a
+    qualified edge e = {u, v} whose endpoints are joined by unqualified
+    edges inside the nodes of C: an unqualified u-v path inside C gives the
+    pair (e, P), and the nodes of any cover of P hold P. Edges whose
+    endpoints are not unqualified-connected inside their qualified
+    component are skipped; the others are searched together, one set size
+    at a time, so no search goes past the smallest size any edge reaches.
+
+    The witness is fixed by three tie-breaks: the first qualified edge in
+    ``node_key`` order that attains rho; then the ``node_key``-
+    lexicographically least unqualified path inside any optimal set for
+    that edge; then the least ``tuple(sorted(cover))`` optimal set whose
+    nodes hold that path.
     """
-    best: CoverWitness | None = None
-    for e, path in internal_qualified_edge_candidates(inst, max_path_len):
-        cap = None if best is None else best.size - 1
-        if cap is not None and cap < 1:
-            break
-        w = _cover_search(inst, e, path, cap, force_exact, exact_edge_limit)
-        if w is not None and (best is None or w.size < best.size):
-            best = w
-    if best is None:
+    uadj = inst.unqualified_adjacency()
+    label: dict[str, tuple[str, ...]] = {}
+    for comp in qualified_components(inst):
+        for group in unqualified_classes(comp.nodes, uadj):
+            label.update(dict.fromkeys(group, group))
+    incident = _incident_edges(inst)
+    searches = [
+        (e, _connected_edge_sets(incident, e))
+        for e in inst.qualified_node_edges()
+        if label[e[0]] == label[e[1]]
+    ]
+    if not searches:
         return RhoResult(None, None)
-    return RhoResult(best.size, best)
+    while True:
+        # a search accepts its whole component at the latest, since only
+        # edges whose endpoints it joins were kept, so next() never runs out
+        for e, levels in searches:
+            joined = [(edges, nodes) for edges, nodes in next(levels) if _joined(uadj, nodes, *e)]
+            if joined:
+                paths = (_least_path(uadj, nodes, *e) for _, nodes in joined)
+                path = min(paths, key=lambda p: [node_key(n) for n in p])
+                cover = min(tuple(sorted(edges)) for edges, nodes in joined if set(path) <= nodes)
+                witness = CoverWitness(edge=e, path=path, cover=frozenset(cover))
+                return RhoResult(witness.size, witness)
 
 
 # -- instance generators --------------------------------------------------------
@@ -677,11 +665,6 @@ def _pair(u: str, v: str) -> tuple[int, int]:
     if u[0] == "A":
         return (int(u[1:]), int(v[1:]))
     return (int(v[1:]), int(u[1:]))
-
-
-def _other_end(pair: tuple[int, int], node: str) -> str:
-    a, b = edge_nodes(pair)
-    return b if node == a else a
 
 
 def _unqualified_pool(inst: CdsInstance, node: str) -> list[tuple[int, int]]:

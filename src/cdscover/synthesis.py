@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import FieldMatrix, PrimeField, next_prime
-from .graph import CdsInstance, QualifiedComponent, node_key, qualified_components, rho
+from .graph import CdsInstance, QualifiedComponent, qualified_components, rho, unqualified_classes
 from .linalg import cauchy_matrix
 from .scheme import LinearScheme
 
@@ -117,7 +117,7 @@ def coefficient_table(
             payloads[0] = None
             classes[0] = ()
             continue
-        groups = _unqualified_classes(holders, uadj)
+        groups = unqualified_classes(holders, uadj)
         coefficients[j] = {node: k for k, group in enumerate(groups, start=1) for node in group}
         classes[j] = groups
         if layout.kind == "cycle" and j <= rho_value - 1:
@@ -125,31 +125,6 @@ def coefficient_table(
         else:
             payloads[j] = ("s", _secret_index(j, rho_value))
     return CoefficientTable(coefficients, payloads, classes)
-
-
-def _unqualified_classes(
-    holders: set[str], uadj: dict[str, set[str]]
-) -> tuple[tuple[str, ...], ...]:
-    """Unqualified connected components of the induced subgraph, ordered by
-    minimal node id; isolated holders are singleton classes."""
-    seen: set[str] = set()
-    groups = []
-    for start in sorted(holders, key=node_key):
-        if start in seen:
-            continue
-        group = []
-        stack = [start]
-        seen.add(start)
-        while stack:
-            cur = stack.pop()
-            group.append(cur)
-            for nb in uadj[cur]:
-                if nb in holders and nb not in seen:
-                    seen.add(nb)
-                    stack.append(nb)
-        groups.append(tuple(sorted(group, key=node_key)))
-    groups.sort(key=lambda g: node_key(g[0]))
-    return tuple(groups)
 
 
 @dataclass(frozen=True)
@@ -205,7 +180,7 @@ class SynthesisPlan:
         )
 
 
-def synthesize_plan(inst: CdsInstance, force_exact: bool = False) -> SynthesisPlan:
+def synthesize_plan(inst: CdsInstance) -> SynthesisPlan:
     """Layouts and coefficient tables for the whole instance.
 
     Raises SynthesisError when the construction does not apply: some
@@ -218,7 +193,7 @@ def synthesize_plan(inst: CdsInstance, force_exact: bool = False) -> SynthesisPl
         raise SynthesisError(
             f"qualified component containing {bad[0].nodes[0]} is neither a path nor a cycle"
         )
-    r = rho(inst, force_exact=force_exact)
+    r = rho(inst)
     if r.is_infinite:
         raise SynthesisError(
             "rho is infinite: no internal qualified edge within any qualified component "
@@ -258,9 +233,9 @@ def synthesize_plan(inst: CdsInstance, force_exact: bool = False) -> SynthesisPl
     return plan
 
 
-def synthesize(inst: CdsInstance, force_exact: bool = False) -> LinearScheme:
+def synthesize(inst: CdsInstance) -> LinearScheme:
     """Emit the rate-(rho-1)/(2*rho) scheme for a path/cycle instance."""
-    return synthesize_plan(inst, force_exact=force_exact).to_scheme()
+    return synthesize_plan(inst).to_scheme()
 
 
 def _structural_certificate(inst: CdsInstance, plan: SynthesisPlan) -> None:

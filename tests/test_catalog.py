@@ -1,4 +1,7 @@
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -133,3 +136,18 @@ def test_export_texts_roundtrip():
     for name in cc.catalog.SCHEME_NAMES:
         text = cc.catalog.scheme_text(name)
         assert cc.parse_scheme(text).precoders == cc.catalog.builtin_scheme(name).precoders
+
+
+def test_build_fixtures_reproduces_data(tmp_path):
+    # fig5-synth is built from rho
+    root = Path(__file__).resolve().parent.parent
+    subprocess.run(
+        [sys.executable, str(root / "scripts" / "build_fixtures.py"), str(tmp_path)],
+        check=True,
+        capture_output=True,
+    )
+    data = root / "src" / "cdscover" / "data"
+    built = sorted(p.name for p in tmp_path.iterdir())
+    assert built == sorted(p.name for p in data.glob("scheme-*.json"))
+    for name in built:
+        assert (tmp_path / name).read_bytes() == (data / name).read_bytes(), name

@@ -1,4 +1,5 @@
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -77,6 +78,18 @@ def test_verify_entropic_flag(capsys):
     assert main(["verify", "fig2", "broken-leaky", "--entropic"]) == 1
 
 
+def test_verify_entropic_unchecked_edges_fail(capsys):
+    # a budget of one state checks no edge, and that is not a pass
+    assert main(["verify", "fig2", "fig2-rate-2-5", "--entropic", "--budget", "1"]) == 1
+    out = capsys.readouterr().out
+    assert "entropic oracle: 0 pass, 0 fail, 8 not-checked" in out
+    assert "no failures" not in out
+    assert main(["--json", "verify", "fig2", "fig2-rate-2-5", "--entropic", "--budget", "1"]) == 1
+    assert json.loads(capsys.readouterr().out)["overall"] is False
+    assert main(["verify", "fig2", "fig2-rate-2-5", "--entropic", "--budget", "-1"]) == 2
+    assert "--budget" in capsys.readouterr().err
+
+
 def test_verify_json_roundtrip(capsys):
     assert main(["--json", "verify", "fig2", "fig2-rate-2-5", "--entropic"]) == 0
     payload = json.loads(capsys.readouterr().out)
@@ -120,7 +133,8 @@ def test_usage_errors_exit_2(capsys):
     assert main(["bogus"]) == 2
     assert main(["catalog", "export", "doesnotexist"]) == 2
     assert main(["bound", "missing-file.json"]) == 2
-    assert main(["--threads", "0", "catalog", "list"]) == 2
+    for removed in ("--threads", "--force-exact", "--max-path-len"):
+        assert main(["rho", "fig2", removed]) == 2
 
 
 def test_malformed_instance_file_exit_2(tmp_path, capsys):
@@ -128,3 +142,46 @@ def test_malformed_instance_file_exit_2(tmp_path, capsys):
     bad.write_text("{not json", encoding="utf-8")
     assert main(["bound", str(bad)]) == 2
     assert "error" in capsys.readouterr().err
+
+
+def _cycle_arc_rho(inst):
+    """rho of a single qualified cycle by scanning its arcs: the connected
+    edge sets of a cycle are its arcs and the whole cycle."""
+    (comp,) = cc.qualified_components(inst)
+    t, n = comp.traversal, len(comp.traversal)
+    uadj = inst.unqualified_adjacency()
+    for k in range(1, n + 1):
+        for i in range(n):
+            nodes = {t[(i + j) % n] for j in range(min(k + 1, n))}
+            for j in range(k):
+                u, v = t[(i + j) % n], t[(i + j + 1) % n]
+                seen, stack = {u}, [u]
+                while stack:
+                    for nb in uadj[stack.pop()] & nodes - seen:
+                        seen.add(nb)
+                        stack.append(nb)
+                if v in seen:
+                    return k
+    return None
+
+
+def test_large_cycle_rho_bound_classify(tmp_path, capsys):
+    # 24 qualified edges: more than any exhaustive cover search handles
+    inst = cc.random_instance(2, 12, 12, "cycle", 0.1)
+    path = tmp_path / "cycle.json"
+    path.write_text(cc.serialize_instance(inst), encoding="utf-8")
+    expected = _cycle_arc_rho(inst)
+    assert expected is not None
+    assert main(["--json", "rho", str(path)]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["rho"] == expected
+    w = payload["witness"]
+    witness = cc.CoverWitness(tuple(w["edge"]), tuple(w["path"]), frozenset(tuple(e) for e in w["cover"]))
+    assert witness.size == expected and witness.violations(inst) == []
+    bound = Fraction(expected - 1, 2 * expected)
+    assert main(["bound", str(path)]) == 0
+    assert capsys.readouterr().out.strip() == f"{bound.numerator}/{bound.denominator}"
+    assert main(["--json", "classify", str(path)]) == 0
+    verdict = json.loads(capsys.readouterr().out)
+    assert verdict["kind"] == "exact"
+    assert verdict["value"] == f"{bound.numerator}/{bound.denominator}"

@@ -2,6 +2,7 @@ import itertools
 import json
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 import cdscover as cc
 from cdscover.graph import (
@@ -106,14 +107,6 @@ def test_candidates_empty_for_unreachable_matching(catalog_instances):
     assert internal_qualified_edge_candidates(catalog_instances["matching2"]) == []
 
 
-def test_candidates_respect_path_cap(catalog_instances):
-    fig2 = catalog_instances["fig2"]
-    assert internal_qualified_edge_candidates(fig2, max_path_len=2) == []
-    assert len(internal_qualified_edge_candidates(fig2, max_path_len=3)) > 0
-    with pytest.raises(InstanceError):
-        internal_qualified_edge_candidates(fig2, max_path_len=0)
-
-
 def test_min_cover_fig2_matches_paper(catalog_instances):
     fig2 = catalog_instances["fig2"]
     w = min_connected_edge_cover(fig2, ("A1", "B1"), ("A1", "B2", "A3", "B1"))
@@ -156,8 +149,12 @@ def test_min_cover_validates_pair(catalog_instances):
         min_connected_edge_cover(fig2, ("A1", "B1"), ("A1", "B2", "A3"))  # B1 not on path
 
 
-def _exhaustive_min_cover(inst, e, path):
-    """Independent oracle: enumerate all qualified edge subsets containing e."""
+def _exhaustive_min_cover(inst, e, path, max_size=None):
+    """Independent oracle: enumerate all qualified edge subsets containing e.
+
+    Returns the least ``tuple(sorted(cover))`` among the smallest connected
+    covers of at most ``max_size`` edges, or None.
+    """
     qedges = inst.qualified_node_edges()
     target = set(path)
 
@@ -178,12 +175,15 @@ def _exhaustive_min_cover(inst, e, path):
         return len(seen) == len(nodes)
 
     others = [q for q in qedges if q != e]
-    for size in range(1, len(qedges) + 1):
+    for size in range(1, (max_size or len(qedges)) + 1):
+        covers = []
         for combo in itertools.combinations(others, size - 1):
             edges = set(combo) | {e}
             covered = {n for ed in edges for n in ed}
             if target <= covered and connected(edges):
-                return size
+                covers.append(tuple(sorted(edges)))
+        if covers:
+            return min(covers)
     return None
 
 
@@ -203,7 +203,7 @@ def test_cover_search_matches_exhaustive_oracle(catalog_instances):
             if expected is None:
                 assert got is None
             else:
-                assert got is not None and got.size == expected
+                assert got is not None and tuple(sorted(got.cover)) == expected
 
 
 def test_rho_values(catalog_instances):
@@ -244,11 +244,97 @@ def test_rho_infinite_iff_no_internal_edge_in_component():
         assert r.is_infinite == (not has_internal_within_component)
 
 
-def test_exact_edge_limit():
-    inst = random_instance(3, 7, 7, "cycle", 0.4)
-    with pytest.raises(cc.CoverSearchLimit):
-        rho(inst, exact_edge_limit=5)
-    assert rho(inst, exact_edge_limit=5, force_exact=True).value == rho(inst).value
+def _reference_rho(inst):
+    """rho by listing every (edge, unqualified path) pair and searching all
+    covers of each: the first pair in list order that attains the minimum,
+    with its least sorted minimum cover."""
+    best = None
+    for e, path in internal_qualified_edge_candidates(inst):
+        cap = None if best is None else len(best.cover) - 1
+        if cap == 0:
+            break
+        cover = _exhaustive_min_cover(inst, e, path, max_size=cap)
+        if cover is not None:
+            best = CoverWitness(edge=e, path=path, cover=frozenset(cover))
+    return best
+
+
+def _assert_rho_matches_reference(inst):
+    got, want = rho(inst), _reference_rho(inst)
+    if want is None:
+        assert got.is_infinite and got.witness is None
+    else:
+        assert (got.value, got.witness) == (want.size, want)
+
+
+# the witness edge has several optimal sets: their least paths differ, the
+# least path is not least as a string, and the least cover overall does
+# not hold the least path
+TIED_WITNESS = CdsInstance(
+    "tied",
+    12,
+    12,
+    frozenset({(2, 9), (2, 10), (5, 8), (5, 9), (8, 5), (8, 8), (9, 2), (9, 10), (10, 2), (10, 12), (11, 12)}),
+    frozenset(
+        {(2, 8), (2, 12), (5, 5), (5, 10), (5, 12), (8, 2), (8, 9), (8, 12), (9, 5), (9, 8), (9, 12), (10, 5)}
+        | {(10, 8), (11, 2), (11, 5), (11, 8), (11, 9)}
+    ),
+)
+
+
+def test_rho_matches_reference_on_catalog_and_corpus(catalog_instances):
+    instances = [TIED_WITNESS, *catalog_instances.values()]
+    instances += [inst for inst, _ in random_corpus(12, start_seed=500) if len(inst.qualified) <= 12]
+    assert len(instances) >= 10
+    for inst in instances:
+        _assert_rho_matches_reference(inst)
+
+
+@st.composite
+def small_instances(draw):
+    """Paths, cycles, chorded paths ("other" components) and unions of two,
+    each with at most 12 qualified edges."""
+    try:
+        inst = _small_instance(draw)
+    except InstanceError:  # no unqualified edge can be given to some node
+        assume(False)
+    if draw(st.booleans()):
+        # spread the nodes over indices 1..12, where node_key order and
+        # string order disagree
+        a_map, b_map = draw(st.permutations(range(1, 13))), draw(st.permutations(range(1, 13)))
+
+        def relabel(pairs):
+            return frozenset((a_map[x - 1], b_map[y - 1]) for x, y in pairs)
+
+        inst = CdsInstance(inst.name, 12, 12, relabel(inst.qualified), relabel(inst.unqualified))
+    return inst
+
+
+def _small_instance(draw):
+    seed = draw(st.integers(0, 10_000))
+    density = draw(st.sampled_from((0.1, 0.2, 0.3, 0.45, 0.6)))
+    kind = draw(st.sampled_from(("path", "cycle", "other", "union")))
+    if kind == "union":
+        sides = draw(st.tuples(st.integers(2, 3), st.integers(2, 3)))
+        left, right = (
+            random_instance(seed + i, s, s, draw(st.sampled_from(("path", "cycle"))), density)
+            for i, s in enumerate(sides)
+        )
+        return cc.disjoint_union(left, right, cross_density=draw(st.sampled_from((0.0, 0.1, 0.3))), seed=seed)
+    side = draw(st.integers(2, 6 if kind == "cycle" else 5))
+    inst = random_instance(seed, side, side, "path" if kind == "other" else kind, density)
+    if kind != "other":
+        return inst
+    free = sorted((x, y) for x in range(1, side + 1) for y in range(1, side + 1) if (x, y) not in inst.qualified)
+    chords = set(draw(st.lists(st.sampled_from(free), min_size=1, max_size=3)))
+    return CdsInstance(inst.name, side, side, inst.qualified | chords, inst.unqualified - chords)
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_instances())
+def test_rho_matches_reference_on_random_instances(inst):
+    assert len(inst.qualified) <= 12
+    _assert_rho_matches_reference(inst)
 
 
 def test_random_instance_deterministic():
