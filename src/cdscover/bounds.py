@@ -20,7 +20,7 @@ import numpy as np
 
 from .fields import FieldMatrix, PrimeField
 from .graph import CdsInstance, CoverWitness, a_node, b_node, qualified_components, rho
-from .linalg import nullspace
+from .linalg import nullspace, residue_rank, rowspace_intersection, solve_right
 from .scheme import LinearScheme, rate, verify_linear
 
 
@@ -297,6 +297,32 @@ def _sample_atoms(
     return None
 
 
+def _slot_classes(total: int, pairs: list[tuple[int, int]]) -> tuple[int, np.ndarray]:
+    """Classes of the slots 0..total-1 under the equalities ``pairs``.
+
+    Returns the class count k and each slot's class index. Classes are
+    numbered by their largest slot, the order in which ``linalg.nullspace``
+    lists the class indicator vectors that span the equality system's
+    solution space, so the class-``i`` indicator is its basis row ``i``.
+    """
+    parent = list(range(total))
+
+    def find(s: int) -> int:
+        while parent[s] != s:
+            parent[s] = parent[parent[s]]
+            s = parent[s]
+        return s
+
+    for s, t in pairs:
+        rs, rt = find(s), find(t)
+        if rs != rt:
+            # the larger root stays a root, so each root is its class's largest slot
+            parent[min(rs, rt)] = max(rs, rt)
+    roots = [find(s) for s in range(total)]
+    number = {r: i for i, r in enumerate(sorted(set(roots)))}
+    return len(number), np.array([number[r] for r in roots], dtype=np.intp)
+
+
 def _solve_alignment(
     inst: CdsInstance,
     field: PrimeField,
@@ -318,34 +344,21 @@ def _solve_alignment(
     def slot(n: str, t: int) -> int:
         return node_idx[n] * N + row_of[n][t]
 
-    total = len(nodes) * N
-    eqs = []
-    for u, v in uedges:
-        for t in sorted(atoms[u] & atoms[v]):
-            row = np.zeros(total, dtype=np.int64)
-            row[slot(u, t)] = 1
-            row[slot(v, t)] = p - 1
-            eqs.append(row)
-    if eqs:
-        basis = nullspace(FieldMatrix(np.array(eqs, dtype=np.int64), field)).array
-    else:
-        basis = np.eye(total, dtype=np.int64)
-    k = basis.shape[0]
+    # each unqualified constraint F_u[t] = F_v[t] joins two slots, so the
+    # solution space is spanned by the indicator vectors of the slot classes
+    k, cls = _slot_classes(
+        len(nodes) * N, [(slot(u, t), slot(v, t)) for u, v in uedges for t in atoms[u] & atoms[v]]
+    )
     if k == 0:
         return None
+    qslots = []
+    for u, v in qedges:
+        shared = sorted(atoms[u] & atoms[v])
+        qslots.append(([slot(u, t) for t in shared], [slot(v, t) for t in shared]))
     for _ in range(inner_draws):
         coeffs = rng.integers(0, p, size=(k, L), dtype=np.int64)
-        rows = np.mod(basis.T @ coeffs, p)  # total x L
-        ok = True
-        for u, v in qedges:
-            shared = sorted(atoms[u] & atoms[v])
-            diff = np.mod(
-                rows[[slot(u, t) for t in shared]] - rows[[slot(v, t) for t in shared]], p
-            )
-            if _np_rank(diff, p) < L:
-                ok = False
-                break
-        if not ok:
+        rows = coeffs[cls]  # total x L
+        if any(residue_rank(rows[su] - rows[sv], p) < L for su, sv in qslots):
             continue
         precoders = {}
         for n in nodes:
@@ -388,8 +401,6 @@ def solve_scheme_for_noise(
     lets callers reproduce published scheme fragments. Nodes with no edges
     get all-zero secret precoders when ``zero_free_nodes`` is set.
     """
-    from .linalg import solve_right
-
     p = field.p
     nodes = inst.nodes()
     node_idx = {n: i for i, n in enumerate(nodes)}
@@ -405,7 +416,7 @@ def solve_scheme_for_noise(
     rhs_rows: list[np.ndarray] = []
     for (x, y), kind in inst.edges_with_kind():
         u, v = a_node(x), b_node(y)
-        inter = rowspace_intersection_cached(inters, h_map, u, v)
+        inters[(u, v)] = inter = rowspace_intersection(h_map[u], h_map[v])
         if kind != "unqualified":
             continue
         pa, pb = inter.p_a.array, inter.p_b.array
@@ -460,7 +471,7 @@ def solve_scheme_for_noise(
             fu = rows[offsets[u] : offsets[u] + n_rows[u]]
             fv = rows[offsets[v] : offsets[v] + n_rows[v]]
             diff = np.mod(inter.p_a.array @ fu - inter.p_b.array @ fv, p)
-            if _np_rank(diff, p) < L:
+            if residue_rank(diff, p) < L:
                 ok = False
                 break
         if not ok:
@@ -480,35 +491,3 @@ def solve_scheme_for_noise(
             name=f"solved-{inst.name}" if inst.name else "solved",
         )
     return None
-
-
-def rowspace_intersection_cached(cache: dict, h_map: dict[str, FieldMatrix], u: str, v: str):
-    from .linalg import rowspace_intersection
-
-    key = (u, v)
-    if key not in cache:
-        cache[key] = rowspace_intersection(h_map[u], h_map[v])
-    return cache[key]
-
-
-def _np_rank(a: np.ndarray, p: int) -> int:
-    a = np.mod(a.copy(), p)
-    n_rows, n_cols = a.shape
-    r = 0
-    for c in range(n_cols):
-        if r >= n_rows:
-            break
-        nz = np.nonzero(a[r:, c])[0]
-        if nz.size == 0:
-            continue
-        piv = nz[0] + r
-        if piv != r:
-            a[[r, piv]] = a[[piv, r]]
-        inv = pow(int(a[r, c]), -1, p)
-        a[r] = (a[r] * inv) % p
-        factors = a[r + 1 :, c]
-        mask = factors != 0
-        if mask.any():
-            a[r + 1 :][mask] = (a[r + 1 :][mask] - np.outer(factors[mask], a[r])) % p
-        r += 1
-    return r

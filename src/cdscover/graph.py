@@ -363,9 +363,6 @@ class CoverWitness:
     def size(self) -> int:
         return len(self.cover)
 
-    def sort_key(self):
-        return (self.size, self.edge, self.path, tuple(sorted(self.cover)))
-
     def violations(self, inst: CdsInstance) -> list[str]:
         """Re-check every invariant independently; empty list means valid."""
         problems = []
@@ -483,8 +480,18 @@ class RhoResult:
         return self.value is None
 
 
-def _joined(uadj: dict[str, set[str]], nodes: Collection[str], u: str, v: str) -> bool:
-    return any(u in group and v in group for group in unqualified_classes(nodes, uadj))
+def _joined(uadj: dict[str, set[str]], nodes: frozenset[str], u: str, v: str) -> bool:
+    """Whether unqualified edges inside ``nodes`` (which holds v) join u to v."""
+    seen = {u}
+    stack = [u]
+    while stack:
+        for nb in uadj[stack.pop()]:
+            if nb == v:
+                return True
+            if nb in nodes and nb not in seen:
+                seen.add(nb)
+                stack.append(nb)
+    return False
 
 
 def _least_path(uadj: dict[str, set[str]], nodes: frozenset[str], u: str, v: str) -> tuple[str, ...]:

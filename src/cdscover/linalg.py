@@ -15,13 +15,16 @@ import numpy as np
 from .fields import FieldError, FieldMatrix, PrimeField
 
 
-def _rref_inplace(a: np.ndarray, p: int, transform: np.ndarray | None = None) -> list[int]:
-    """Reduce ``a`` to RREF mod p in place; mirror row ops onto ``transform``.
+def _rref_inplace(a: np.ndarray, p: int, n_cols: int | None = None) -> list[int]:
+    """Reduce ``a`` to RREF mod p in place, pivoting on its first ``n_cols`` columns.
 
-    Returns the pivot column list. ``a`` (and ``transform`` if given) must be
-    int64 and already reduced mod p.
+    Returns the pivot column list. ``a`` must be int64 and already reduced
+    mod p. Columns past ``n_cols`` (all of them by default) only follow the
+    row operations, which is how a transform is carried along.
     """
-    n_rows, n_cols = a.shape
+    n_rows = a.shape[0]
+    if n_cols is None:
+        n_cols = a.shape[1]
     pivots: list[int] = []
     row = 0
     for col in range(n_cols):
@@ -33,22 +36,20 @@ def _rref_inplace(a: np.ndarray, p: int, transform: np.ndarray | None = None) ->
         piv = nz[0] + row
         if piv != row:
             a[[row, piv]] = a[[piv, row]]
-            if transform is not None:
-                transform[[row, piv]] = transform[[piv, row]]
         inv = pow(int(a[row, col]), -1, p)
         a[row] = (a[row] * inv) % p
-        if transform is not None:
-            transform[row] = (transform[row] * inv) % p
         factors = a[:, col].copy()
         factors[row] = 0
-        mask = factors != 0
-        if mask.any():
-            a[mask] = (a[mask] - np.outer(factors[mask], a[row])) % p
-            if transform is not None:
-                transform[mask] = (transform[mask] - np.outer(factors[mask], transform[row])) % p
+        a -= np.outer(factors, a[row])
+        a %= p
         pivots.append(col)
         row += 1
     return pivots
+
+
+def residue_rank(a: np.ndarray, p: int) -> int:
+    """Rank mod p of an integer array, which is left unchanged."""
+    return len(_rref_inplace(np.mod(a, p), p))
 
 
 class RankRref(NamedTuple):
@@ -66,10 +67,9 @@ def rank_rref(m: FieldMatrix) -> RankRref:
 
 def rref_with_transform(m: FieldMatrix) -> tuple[FieldMatrix, FieldMatrix, list[int]]:
     """RREF of ``m`` together with the transform T such that T @ m == rref."""
-    a = m.array.copy()
-    t = np.eye(m.rows, dtype=np.int64)
-    pivots = _rref_inplace(a, m.field.p, transform=t)
-    return FieldMatrix(a, m.field), FieldMatrix(t, m.field), pivots
+    work = np.hstack([m.array, np.eye(m.rows, dtype=np.int64)])
+    pivots = _rref_inplace(work, m.field.p, n_cols=m.cols)
+    return FieldMatrix(work[:, : m.cols], m.field), FieldMatrix(work[:, m.cols :], m.field), pivots
 
 
 def rank(m: FieldMatrix) -> int:
@@ -79,13 +79,11 @@ def rank(m: FieldMatrix) -> int:
 def nullspace(m: FieldMatrix) -> FieldMatrix:
     """Basis (as rows) of the right null space {x : m @ x = 0}."""
     r, rref, pivots = rank_rref(m)
-    free = [c for c in range(m.cols) if c not in pivots]
+    pivot_set = set(pivots)
+    free = np.array([c for c in range(m.cols) if c not in pivot_set], dtype=np.intp)
     basis = np.zeros((len(free), m.cols), dtype=np.int64)
-    p = m.field.p
-    for i, fc in enumerate(free):
-        basis[i, fc] = 1
-        for row_idx, pc in enumerate(pivots):
-            basis[i, pc] = (-int(rref.array[row_idx, fc])) % p
+    basis[np.arange(len(free)), free] = 1
+    basis[:, pivots] = -rref.array[:r, free].T
     return FieldMatrix(basis, m.field)
 
 
@@ -111,21 +109,26 @@ def rowspace_intersection(a: FieldMatrix, b: FieldMatrix) -> RowspaceIntersectio
     map (w_a | w_b) -> w_a a is onto the intersection. Reducing the candidate
     vectors to echelon form while tracking coefficients yields the basis and
     both coefficient matrices at once. The basis is in RREF, so equal
-    subspaces produce equal matrices.
+    subspaces produce equal matrices. Columns that are zero in both inputs
+    hold no pivot and change no row operation, so they are dropped for the
+    elimination and put back as zeros in the basis.
     """
     if a.field != b.field:
         raise FieldError("rowspace_intersection requires matrices over the same field")
     if a.cols != b.cols:
         raise FieldError(f"column count mismatch: {a.cols} vs {b.cols}")
     field = a.field
-    stacked = a.vstack(b)
-    w = left_nullspace(stacked)
+    used = np.nonzero(a.array.any(axis=0) | b.array.any(axis=0))[0]
+    a_used = a.array[:, used]
+    w = left_nullspace(FieldMatrix(np.vstack([a_used, b.array[:, used]]), field))
     w_a = w.array[:, : a.rows]
     w_b = w.array[:, a.rows :]
-    candidates = FieldMatrix(w_a, field) @ a
+    candidates = FieldMatrix(w_a @ a_used, field)
     red, t, pivots = rref_with_transform(candidates)
     d = len(pivots)
-    basis = FieldMatrix(red.array[:d, :], field)
+    basis_array = np.zeros((d, a.cols), dtype=np.int64)
+    basis_array[:, used] = red.array[:d]
+    basis = FieldMatrix(basis_array, field)
     p_a = FieldMatrix(np.mod(t.array[:d] @ w_a, field.p), field)
     p_b = FieldMatrix(np.mod(-(t.array[:d] @ w_b), field.p), field)
     return RowspaceIntersection(basis, p_a, p_b)

@@ -342,10 +342,10 @@ def entropic_oracle_edge(
             return [(key // int(powers[i])) % p for i in range(width)]
 
     else:
-        # signals too wide for integer keys: accumulate per-row byte keys
+        # signals too wide for integer keys: key each row by its int64 bytes
         table: dict[bytes, np.ndarray] = {}
         for s_idx in range(n_secrets):
-            sig = np.mod(hz + fs[s_idx], p).astype(np.uint8)
+            sig = np.mod(hz + fs[s_idx], p)
             rows, cnt = np.unique(sig, axis=0, return_counts=True)
             for row, c in zip(rows, cnt):
                 vec = table.setdefault(row.tobytes(), np.zeros(n_secrets, dtype=np.int64))
@@ -354,7 +354,7 @@ def entropic_oracle_edge(
         counts = np.stack([table[k] for k in uniq_bytes]) if table else np.zeros((0, n_secrets), np.int64)
 
         def signal_values(k: int) -> list[int]:
-            return list(uniq_bytes[k])
+            return np.frombuffer(uniq_bytes[k], dtype=np.int64).tolist()
 
     def signal_pair(k: int) -> dict:
         vals = signal_values(k)
@@ -487,11 +487,11 @@ def simulate(inst: CdsInstance, scheme: LinearScheme, seed: int, trials: int) ->
             successes = int(np.all(decoded == s_draws, axis=1).sum())
             sims.append(EdgeSimulation((x, y), kind, trials, successes, True, None, None))
         else:
-            pairs = np.hstack([sig_a, sig_b]).astype(np.uint8)
+            pairs = np.hstack([sig_a, sig_b])
             table: dict[bytes, dict[bytes, int]] = {}
             for i in range(trials):
                 k = pairs[i].tobytes()
-                sk = s_draws[i].astype(np.uint8).tobytes()
+                sk = s_draws[i].tobytes()
                 table.setdefault(k, {}).setdefault(sk, 0)
                 table[k][sk] += 1
             spread = 0

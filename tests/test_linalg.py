@@ -12,6 +12,7 @@ from cdscover.linalg import (
     nullspace,
     rank,
     rank_rref,
+    residue_rank,
     rowspace_intersection,
     rref_with_transform,
     solve_right,
@@ -84,6 +85,22 @@ def test_nullspace_annihilates(m):
         assert (lns @ m).is_zero()
 
 
+@given(matrices())
+@settings(max_examples=60, deadline=None)
+def test_nullspace_matches_elementwise_construction(m):
+    # reference: the basis built one entry at a time from the RREF
+    r, red, pivots = rank_rref(m)
+    p = m.field.p
+    free = [c for c in range(m.cols) if c not in pivots]
+    expected = np.zeros((len(free), m.cols), dtype=np.int64)
+    for i, fc in enumerate(free):
+        expected[i, fc] = 1
+        for row_idx, pc in enumerate(pivots):
+            expected[i, pc] = (-int(red.array[row_idx, fc])) % p
+    assert np.array_equal(nullspace(m).array, expected)
+    assert residue_rank(m.array - p, p) == r
+
+
 def test_intersection_identical_spaces():
     a = FieldMatrix.identity(2, PrimeField(3))
     basis, pa, pb = rowspace_intersection(a, a)
@@ -116,6 +133,23 @@ def test_intersection_against_enumeration_oracle():
     expected = _span(a) & _span(b)
     assert _span(basis) == expected
     assert basis.rows == 1 and basis.to_lists() == [[0, 1, 0]]
+
+
+def test_intersection_with_shared_zero_columns():
+    # columns 1 and 3 are zero in both inputs; the values were pinned from
+    # the elimination over all six columns
+    a = fm([[1, 0, 2, 0, 0, 3], [0, 0, 1, 0, 4, 0], [2, 0, 0, 0, 1, 1]], 5)
+    b = fm([[1, 0, 3, 0, 4, 3], [4, 0, 0, 0, 2, 2], [0, 0, 1, 0, 0, 1]], 5)
+    basis, pa, pb = rowspace_intersection(a, b)
+    assert basis.to_lists() == [[1, 0, 0, 0, 3, 3], [0, 0, 1, 0, 2, 0]]
+    assert pa.to_lists() == [[0, 0, 3], [2, 2, 4]]
+    assert pb.to_lists() == [[0, 4, 0], [2, 2, 0]]
+    assert pa @ a == basis and pb @ b == basis
+
+
+def test_intersection_of_zero_matrices():
+    basis, pa, pb = rowspace_intersection(fm([[0, 0, 0]], 3), fm([[0, 0, 0], [0, 0, 0]], 3))
+    assert basis.shape == (0, 3) and pa.shape == (0, 1) and pb.shape == (0, 2)
 
 
 def test_intersection_column_mismatch():

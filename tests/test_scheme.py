@@ -209,6 +209,23 @@ def test_fig2_fixture_passes_oracle_everywhere():
     assert all(r.passed for r in results)
 
 
+def test_oracle_wide_signals_keep_residues_above_255():
+    # p^(2N) = 257^8 >= 2^62 sends the oracle down its wide-signal path; the
+    # secrets 0 and 256 give the signals 0 and 256, which must stay apart
+    inst = _two_node_instance("qualified")
+    f = PrimeField(257)
+    a = (FieldMatrix([[1], [0], [0], [0]], f), FieldMatrix.zeros(4, 1, f))
+    b = (FieldMatrix.zeros(4, 1, f), FieldMatrix.zeros(4, 1, f))
+    scheme = LinearScheme(f, 1, 1, 4, {"A1": a, "B1": b})
+    res = entropic_oracle_edge(inst, scheme, (1, 1))
+    assert res.passed and res.states == 257
+    # the same signals leak the secret on an unqualified edge; the
+    # counterexample reports N residues per node
+    leak = entropic_oracle_edge(_two_node_instance("unqualified"), scheme, (1, 1))
+    assert leak.failed
+    assert leak.counterexample["signals"] == {"A1": [0, 0, 0, 0], "B1": [0, 0, 0, 0]}
+
+
 # -- simulation ---------------------------------------------------------------
 
 
@@ -242,3 +259,14 @@ def test_simulate_broken_scheme_fails_sometimes():
     report = simulate(inst, scheme, seed=5, trials=10_000)
     freqs = [e.success_frequency for e in report.edges if e.edge == (1, 1)]
     assert freqs and freqs[0] < 1.0
+
+
+def test_simulate_keeps_residues_above_255():
+    # both nodes send the same uniform noise symbol, so with 20k trials the
+    # unqualified edge sees all 257 signal pairs, 0 and 256 among them
+    inst = _two_node_instance("unqualified")
+    f = PrimeField(257)
+    node = (FieldMatrix([[0]], f), FieldMatrix([[1]], f))
+    scheme = LinearScheme(f, 1, 1, 1, {"A1": node, "B1": node})
+    (edge,) = simulate(inst, scheme, seed=0, trials=20_000).edges
+    assert edge.distinct_signal_pairs == 257
