@@ -21,7 +21,7 @@ import numpy as np
 from .fields import FieldMatrix, PrimeField
 from .graph import CdsInstance, CoverWitness, a_node, b_node, qualified_components, rho
 from .linalg import nullspace, residue_rank, rowspace_intersection, solve_right
-from .scheme import LinearScheme, rate, verify_linear
+from .scheme import LinearScheme, check_field_size, rate, verify_linear
 
 
 def linear_converse_bound(inst: CdsInstance) -> tuple[Fraction, CoverWitness | None]:
@@ -220,6 +220,8 @@ def classify_linear_capacity(inst: CdsInstance) -> Verdict:
 
 # -- randomized scheme search --------------------------------------------------------
 
+SEARCH_INNER_DRAWS = 3  # members of each noise configuration's solution space tried
+
 
 def random_scheme_search(
     inst: CdsInstance,
@@ -229,7 +231,6 @@ def random_scheme_search(
     L_Z: int,
     seed: int,
     budget: int,
-    inner_draws: int = 3,
 ) -> LinearScheme | None:
     """Search for a verified linear scheme with the given parameters.
 
@@ -238,13 +239,15 @@ def random_scheme_search(
     shares at least L of them (noise alignment first). The unqualified
     alignment constraints are then linear in the rows of the secret
     precoders; the solver parameterizes their solution space exactly and
-    draws random members, keeping one iff every qualified edge has a
-    full-rank secret difference. Any returned scheme has passed
-    verify_linear; None after budget exhaustion proves nothing.
+    draws up to SEARCH_INNER_DRAWS random members, keeping one iff every
+    qualified edge has a full-rank secret difference. Any returned scheme
+    has passed verify_linear; None after budget exhaustion proves nothing.
+    A modulus too large for exact int64 products raises FieldError.
     """
-    field = PrimeField(p)
     if L < 1 or N < 1 or L_Z < 1 or budget < 0:
         raise ValueError("L, N, L_Z must be positive and budget non-negative")
+    check_field_size(p, L, L_Z, N)
+    field = PrimeField(p)
     if N > L_Z:
         return None  # no full-row-rank noise precoder exists
     rng = np.random.default_rng(seed)
@@ -257,9 +260,7 @@ def random_scheme_search(
         atoms = _sample_atoms(rng, nodes, qedges, L, N, L_Z)
         if atoms is None:
             continue
-        scheme = _solve_alignment(
-            inst, field, L, N, L_Z, nodes, node_idx, atoms, qedges, uedges, rng, inner_draws
-        )
+        scheme = _solve_alignment(inst, field, L, N, L_Z, nodes, node_idx, atoms, qedges, uedges, rng)
         if scheme is None:
             continue
         if verify_linear(inst, scheme).overall:
@@ -335,7 +336,6 @@ def _solve_alignment(
     qedges: list[tuple[str, str]],
     uedges: list[tuple[str, str]],
     rng: np.random.Generator,
-    inner_draws: int,
 ) -> LinearScheme | None:
     p = field.p
     cols = {n: sorted(atoms[n]) for n in nodes}
@@ -355,7 +355,7 @@ def _solve_alignment(
     for u, v in qedges:
         shared = sorted(atoms[u] & atoms[v])
         qslots.append(([slot(u, t) for t in shared], [slot(v, t) for t in shared]))
-    for _ in range(inner_draws):
+    for _ in range(SEARCH_INNER_DRAWS):
         coeffs = rng.integers(0, p, size=(k, L), dtype=np.int64)
         rows = coeffs[cls]  # total x L
         if any(residue_rank(rows[su] - rows[sv], p) < L for su, sv in qslots):
@@ -387,7 +387,6 @@ def solve_scheme_for_noise(
     inner_draws: int = 8,
     pinned_rows: list[tuple[str, int, list[int]]] | None = None,
     pinned_diffs: list[tuple[tuple[str, int], tuple[str, int], list[int]]] | None = None,
-    zero_free_nodes: bool = True,
 ) -> LinearScheme | None:
     """Solve for secret precoders given fixed noise precoders.
 
@@ -399,7 +398,7 @@ def solve_scheme_for_noise(
     ``inner_draws`` is exhausted). ``pinned_rows`` fixes chosen F rows to
     given vectors and ``pinned_diffs`` fixes differences of two rows, which
     lets callers reproduce published scheme fragments. Nodes with no edges
-    get all-zero secret precoders when ``zero_free_nodes`` is set.
+    get all-zero secret precoders.
     """
     p = field.p
     nodes = inst.nodes()
@@ -452,10 +451,7 @@ def solve_scheme_for_noise(
     k = basis.shape[0]
 
     edgeless = {
-        n
-        for n in nodes
-        if zero_free_nodes
-        and not any(n in (a_node(x), b_node(y)) for x, y in inst.qualified | inst.unqualified)
+        n for n in nodes if not any(n in (a_node(x), b_node(y)) for x, y in inst.qualified | inst.unqualified)
     }
     qpairs = [(a_node(x), b_node(y)) for x, y in sorted(inst.qualified)]
     n_cols_z = next(iter(h_map.values())).cols

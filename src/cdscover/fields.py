@@ -2,8 +2,9 @@
 
 Entries are always stored as canonical residues in [0, p), so two matrices
 are equal iff their integer payloads are equal and file round-trips are
-bit-exact. All arithmetic is int64 numpy; (p-1)^2 must fit in int64, which
-holds for every modulus this package uses.
+bit-exact. All arithmetic is int64 numpy, so a sum of k products of
+residues is exact only while (p-1)^2 * k < 2^63; ``scheme.check_field_size``
+refuses larger moduli for scheme files and searches.
 """
 
 from __future__ import annotations

@@ -12,15 +12,14 @@ path with the linear conditions.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
 
 import numpy as np
 
 from .fields import FieldError, FieldMatrix, PrimeField
 from .graph import CdsInstance, a_node, b_node, node_key
-from .linalg import rank, rank_rref, rowspace_intersection, rref_with_transform
+from .linalg import rank, rowspace_intersection, rref_with_transform
 
 
 class SchemeError(ValueError):
@@ -55,9 +54,25 @@ class LinearScheme:
 
     def check_for_instance(self, inst: CdsInstance) -> None:
         self.check_shapes()
-        missing = [n for n in inst.nodes() if n not in self.precoders]
+        nodes = inst.nodes()
+        missing = [n for n in nodes if n not in self.precoders]
         if missing:
             raise SchemeError(f"scheme lacks precoders for {missing}")
+        if len(self.precoders) > len(nodes):
+            unknown = sorted(set(self.precoders) - set(nodes))
+            raise SchemeError(f"scheme has precoders for {unknown}, which are not nodes of {inst.name!r}")
+
+
+def check_field_size(p: int, L: int, L_Z: int, N: int) -> None:
+    """Refuse a modulus whose sums of residue products can wrap int64.
+
+    The longest sums run over 2N terms (an edge's noise overlap) or L + L_Z
+    (a simulated signal F S + H Z). Call it before the primality test, whose
+    trial division takes minutes on such a modulus.
+    """
+    k = max(2 * N, L + L_Z)
+    if (p - 1) ** 2 * k >= 2**63:
+        raise FieldError(f"p = {p} is too large: {k} products of residues can overflow int64")
 
 
 def rate(scheme: LinearScheme) -> Fraction:
@@ -90,11 +105,12 @@ def parse_scheme(text: str) -> LinearScheme:
     for key in ("p", "L", "Lz", "N"):
         if not isinstance(obj.get(key), int) or isinstance(obj.get(key), bool):
             raise SchemeError(f"field '{key}' must be an integer")
+    L, L_Z, N = obj["L"], obj["Lz"], obj["N"]
     try:
+        check_field_size(obj["p"], L, L_Z, N)
         fld = PrimeField(obj["p"])
     except FieldError as e:
         raise SchemeError(str(e)) from e
-    L, L_Z, N = obj["L"], obj["Lz"], obj["N"]
     nodes = obj.get("nodes")
     if not isinstance(nodes, dict):
         raise SchemeError("field 'nodes' must be an object mapping node ids to precoders")
@@ -275,8 +291,42 @@ def _all_tuples(p: int, n: int) -> np.ndarray:
     """All p^n tuples over F_p, one per row, lexicographic order."""
     if n == 0:
         return np.zeros((1, 0), dtype=np.int64)
-    grids = np.meshgrid(*[np.arange(p, dtype=np.int64)] * n, indexing="ij")
-    return np.stack([g.ravel() for g in grids], axis=1)
+    return np.indices((p,) * n, dtype=np.int64).reshape(n, -1).T
+
+
+def _pair_table(width: int, p: int, signal_keys, secret_ids: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Exact sparse table of the (signal, secret) pairs of a grid of samples.
+
+    Row i of the grid holds samples of secret ``secret_ids[i]``. A signal is
+    ``width`` residues with base-p key sum(value[c] * p**c);
+    ``signal_keys(cols, powers)`` returns every sample's key over the slice
+    ``cols`` as a fresh int64 array in row-major order. Chunks of columns,
+    from the most significant end, extend the key while it stays below
+    2^62; np.unique renumbers it in key order whenever columns remain or it
+    has no room left for the secret. Returns the grid of pair keys
+    signal * n_secrets + secret, the distinct pair keys in increasing order
+    with their counts, and the index of each signal's first pair followed
+    by the number of pairs.
+    """
+    n_secrets = int(secret_ids.max()) + 1
+    key, bound, stop = 0, 1, width  # key < bound
+    while True:
+        start = max(stop - 1, 0)
+        while start > 0 and bound * p ** (stop - start + 1) < 2**62:
+            start -= 1
+        chunk = signal_keys(slice(start, stop), p ** np.arange(stop - start, dtype=np.int64))
+        chunk += key * p ** (stop - start)
+        key, bound, stop = chunk, bound * p ** (stop - start), start
+        if stop == 0 and bound * n_secrets < 2**62:
+            break
+        uniq, key = np.unique(key, return_inverse=True)
+        bound = len(uniq)
+    grid = key.reshape(len(secret_ids), -1)
+    grid *= n_secrets
+    grid += secret_ids[:, None]
+    pairs, counts = np.unique(grid, return_counts=True)
+    signal = pairs // n_secrets
+    return grid, pairs, counts, np.flatnonzero(np.concatenate(([True], signal[1:] != signal[:-1], [True])))
 
 
 def entropic_oracle_edge(
@@ -321,84 +371,43 @@ def entropic_oracle_edge(
         )
     h_ref = h_stack[:, ref_cols]
     secrets = _all_tuples(p, scheme.L)
-    noises = _all_tuples(p, m)
-    hz = np.mod(noises @ h_ref.T, p)  # p^m x 2N
+    hz = np.mod(_all_tuples(p, m) @ h_ref.T, p)  # p^m x 2N
     fs = np.mod(secrets @ f_stack.T, p)  # p^L x 2N
-    n_secrets = secrets.shape[0]
-    width = 2 * scheme.N
-    if p**width < 2**62:
-        # encode each signal pair as one base-p integer; counting is a bincount
-        powers = p ** np.arange(width, dtype=np.int64)
-        keys = np.empty((n_secrets, hz.shape[0]), dtype=np.int64)
+    n_secrets = len(secrets)
+
+    def signal_keys(cols: slice, powers: np.ndarray) -> np.ndarray:
+        keys = np.empty((n_secrets, len(hz)), dtype=np.int64)
         for s_idx in range(n_secrets):
-            keys[s_idx] = np.mod(hz + fs[s_idx], p) @ powers
-        uniq, inv = np.unique(keys.ravel(), return_inverse=True)
-        s_of = np.repeat(np.arange(n_secrets, dtype=np.int64), hz.shape[0])
-        counts = np.bincount(inv * n_secrets + s_of, minlength=len(uniq) * n_secrets)
-        counts = counts.reshape(len(uniq), n_secrets)
+            keys[s_idx] = np.mod(hz[:, cols] + fs[s_idx, cols], p) @ powers
+        return keys.ravel()
 
-        def signal_values(k: int) -> list[int]:
-            key = int(uniq[k])
-            return [(key // int(powers[i])) % p for i in range(width)]
-
-    else:
-        # signals too wide for integer keys: key each row by its int64 bytes
-        table: dict[bytes, np.ndarray] = {}
-        for s_idx in range(n_secrets):
-            sig = np.mod(hz + fs[s_idx], p)
-            rows, cnt = np.unique(sig, axis=0, return_counts=True)
-            for row, c in zip(rows, cnt):
-                vec = table.setdefault(row.tobytes(), np.zeros(n_secrets, dtype=np.int64))
-                vec[s_idx] += c
-        uniq_bytes = list(table)
-        counts = np.stack([table[k] for k in uniq_bytes]) if table else np.zeros((0, n_secrets), np.int64)
-
-        def signal_values(k: int) -> list[int]:
-            return np.frombuffer(uniq_bytes[k], dtype=np.int64).tolist()
-
-    def signal_pair(k: int) -> dict:
-        vals = signal_values(k)
-        return {va: vals[: scheme.N], vb: vals[scheme.N :]}
-
+    grid, pairs, counts, bounds = _pair_table(2 * scheme.N, p, signal_keys, np.arange(n_secrets))
+    secret_of = pairs % n_secrets
+    starts, sizes = bounds[:-1], np.diff(bounds)  # sizes: distinct secrets per signal pair
     if kind == "qualified":
-        consistent = counts > 0
-        bad = np.nonzero(consistent.sum(axis=1) != 1)[0]
-        if bad.size:
-            k = int(bad[0])
-            witnesses = np.nonzero(consistent[k])[0][:2]
-            return OracleResult(
-                edge=edge,
-                kind=kind,
-                status="fail",
-                states=states,
-                detail="a signal pair is consistent with more than one secret",
-                counterexample={
-                    "signals": signal_pair(k),
-                    "secrets": [secrets[i].tolist() for i in witnesses],
-                },
-            )
+        bad = np.flatnonzero(sizes > 1)
+        detail = "a signal pair is consistent with more than one secret"
+    else:
+        # a secret never seen with a signal pair has count 0 for it
+        low = np.where(sizes < n_secrets, 0, np.minimum.reduceat(counts, starts))
+        bad = np.flatnonzero(np.maximum.reduceat(counts, starts) != low)
+        detail = "signal pair counts differ across secrets"
+    if not bad.size:
         return OracleResult(edge=edge, kind=kind, status="pass", states=states)
-
-    bad = np.nonzero(counts.max(axis=1) != counts.min(axis=1))[0]
-    if bad.size:
-        k = int(bad[0])
-        vec = counts[k]
+    first, stop = bounds[bad[0]], bounds[bad[0] + 1]
+    # the least failing signal pair, rebuilt from its first state (secret, noise)
+    s_idx = secret_of[first]
+    vals = np.mod(fs[s_idx] + hz[np.argmax(grid[s_idx] == pairs[first])], p).tolist()
+    example = {"signals": {va: vals[: scheme.N], vb: vals[scheme.N :]}}
+    if kind == "qualified":
+        example["secrets"] = [secrets[i].tolist() for i in secret_of[first : first + 2]]
+    else:
+        vec = np.zeros(n_secrets, dtype=np.int64)
+        vec[secret_of[first:stop]] = counts[first:stop]
         lo, hi = int(np.argmin(vec)), int(np.argmax(vec))
-        return OracleResult(
-            edge=edge,
-            kind=kind,
-            status="fail",
-            states=states,
-            detail="signal pair counts differ across secrets",
-            counterexample={
-                "signals": signal_pair(k),
-                "secret_low": secrets[lo].tolist(),
-                "count_low": int(vec[lo]),
-                "secret_high": secrets[hi].tolist(),
-                "count_high": int(vec[hi]),
-            },
-        )
-    return OracleResult(edge=edge, kind=kind, status="pass", states=states)
+        example["secret_low"], example["count_low"] = secrets[lo].tolist(), int(vec[lo])
+        example["secret_high"], example["count_high"] = secrets[hi].tolist(), int(vec[hi])
+    return OracleResult(edge=edge, kind=kind, status="fail", states=states, detail=detail, counterexample=example)
 
 
 def entropic_oracle_all(
@@ -468,6 +477,8 @@ def simulate(inst: CdsInstance, scheme: LinearScheme, seed: int, trials: int) ->
     p = scheme.field.p
     s_draws = rng.integers(0, p, size=(trials, scheme.L), dtype=np.int64)
     z_draws = rng.integers(0, p, size=(trials, scheme.L_Z), dtype=np.int64)
+    # numpy releases differ in the shape they give an axis-0 unique's inverse
+    secret_ids = np.unique(s_draws, axis=0, return_inverse=True)[1].reshape(-1)
     sims: list[EdgeSimulation] = []
     for (x, y), kind in inst.edges_with_kind():
         va, vb = a_node(x), b_node(y)
@@ -476,29 +487,20 @@ def simulate(inst: CdsInstance, scheme: LinearScheme, seed: int, trials: int) ->
         if kind == "qualified":
             inter = rowspace_intersection(scheme.h_of(va), scheme.h_of(vb))
             diff = (inter.p_a @ scheme.f_of(va)) - (inter.p_b @ scheme.f_of(vb))
-            r, _, _ = rank_rref(diff)
-            if r < scheme.L:
+            _, t, pivots = rref_with_transform(diff)
+            if len(pivots) < scheme.L:
                 sims.append(EdgeSimulation((x, y), kind, trials, 0, False, None, None))
                 continue
-            red, t, pivots = rref_with_transform(diff)
             decoder = t.array[: scheme.L]  # T @ diff == [I_L; 0]
             obs = np.mod(sig_a @ inter.p_a.array.T - sig_b @ inter.p_b.array.T, p)
             decoded = np.mod(obs @ decoder.T, p)
             successes = int(np.all(decoded == s_draws, axis=1).sum())
             sims.append(EdgeSimulation((x, y), kind, trials, successes, True, None, None))
         else:
-            pairs = np.hstack([sig_a, sig_b])
-            table: dict[bytes, dict[bytes, int]] = {}
-            for i in range(trials):
-                k = pairs[i].tobytes()
-                sk = s_draws[i].tobytes()
-                table.setdefault(k, {}).setdefault(sk, 0)
-                table[k][sk] += 1
-            spread = 0
-            for per_secret in table.values():
-                if len(per_secret) > 1:
-                    spread = max(spread, max(per_secret.values()) - min(per_secret.values()))
-            sims.append(
-                EdgeSimulation((x, y), kind, trials, None, None, len(table), spread)
-            )
+            signals = np.hstack([sig_a, sig_b])
+            _, _, counts, bounds = _pair_table(2 * scheme.N, p, lambda cols, pw: signals[:, cols] @ pw, secret_ids)
+            # the spread of the counts of the secrets seen with each signal pair
+            starts = bounds[:-1]
+            spread = int((np.maximum.reduceat(counts, starts) - np.minimum.reduceat(counts, starts)).max())
+            sims.append(EdgeSimulation((x, y), kind, trials, None, None, len(starts), spread))
     return SimulationReport(trials=trials, seed=seed, edges=tuple(sims))

@@ -137,6 +137,28 @@ def test_usage_errors_exit_2(capsys):
         assert main(["rho", "fig2", removed]) == 2
 
 
+def test_verify_rejects_unknown_scheme_nodes(tmp_path, capsys):
+    obj = json.loads(cc.catalog.scheme_text("fig2-rate-2-5"))
+    obj["nodes"]["A9"] = obj["nodes"]["Q"] = obj["nodes"]["A1"]
+    path = tmp_path / "extra.json"
+    path.write_text(json.dumps(obj), encoding="utf-8")
+    assert main(["verify", "fig2", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "A9" in err and "Q" in err and "not nodes of 'fig2'" in err
+
+
+def test_moduli_past_int64_products_exit_2(tmp_path, capsys):
+    # at this prime, [[p-1]*4] @ [[p-1]]*4 wraps int64 and reads 581896576 mod p, not 4
+    p = 3037000493
+    scheme = {"p": p, "L": 4, "Lz": 1, "N": 1, "nodes": {"A1": {"F": [[p - 1] * 4], "H": [[1]]}}}
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps(scheme), encoding="utf-8")
+    assert main(["verify", "fig2", str(path)]) == 2
+    assert "overflow int64" in capsys.readouterr().err
+    assert main(["search", "fig2", "--p", str(p), "--L", "4", "--N", "1", "--Lz", "1"]) == 2
+    assert "overflow int64" in capsys.readouterr().err
+
+
 def test_malformed_instance_file_exit_2(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json", encoding="utf-8")

@@ -1,8 +1,10 @@
+import itertools
 import json
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import cdscover as cc
 from cdscover.fields import FieldMatrix, PrimeField
@@ -10,6 +12,7 @@ from cdscover.graph import CdsInstance
 from cdscover.scheme import (
     LinearScheme,
     SchemeError,
+    _pair_table,
     entropic_oracle_edge,
     parse_scheme,
     rate,
@@ -53,11 +56,29 @@ def test_parse_scheme_errors():
         )
 
 
+def test_field_size_guard_keeps_products_exact():
+    # the largest prime with (p-1)^2 * 2N < 2^63 at N = 1, the next one up,
+    # and a prime whose trial-division primality test would take minutes
+    for p, ok in ((2**31 - 1, True), (2**31 + 11, False), (2**61 - 1, False)):
+        text = json.dumps({"p": p, "L": 1, "Lz": 1, "N": 1, "nodes": {"A1": {"F": [[p - 1]], "H": [[p - 1]]}}})
+        if not ok:
+            with pytest.raises(SchemeError, match="overflow int64"):
+                parse_scheme(text)
+            continue
+        f = parse_scheme(text).f_of("A1")
+        assert (FieldMatrix([[p - 1] * 2], f.field) @ FieldMatrix([[p - 1]] * 2, f.field)).to_lists() == [[2]]
+    with pytest.raises(ValueError, match="overflow int64"):
+        cc.random_scheme_search(cc.catalog.builtin_instance("fig2"), 3037000493, 4, 1, 1, seed=0, budget=1)
+
+
 def test_verify_requires_matching_shapes():
     inst = cc.catalog.builtin_instance("fig5")
     scheme = cc.catalog.builtin_scheme("fig2-rate-2-5")
     with pytest.raises(SchemeError, match="lacks precoders"):
         verify_linear(inst, scheme)
+    # fig5's scheme also has precoders for A5-A10 and B4-B10, which fig2 lacks
+    with pytest.raises(SchemeError, match="not nodes of"):
+        verify_linear(cc.catalog.builtin_instance("fig2"), cc.catalog.builtin_scheme("fig5-synth"))
 
 
 def test_verify_fixture_passes():
@@ -210,8 +231,8 @@ def test_fig2_fixture_passes_oracle_everywhere():
 
 
 def test_oracle_wide_signals_keep_residues_above_255():
-    # p^(2N) = 257^8 >= 2^62 sends the oracle down its wide-signal path; the
-    # secrets 0 and 256 give the signals 0 and 256, which must stay apart
+    # p^(2N) = 257^8 >= 2^62, so the oracle keys the signals in two chunks;
+    # the secrets 0 and 256 give the signals 0 and 256, which must stay apart
     inst = _two_node_instance("qualified")
     f = PrimeField(257)
     a = (FieldMatrix([[1], [0], [0], [0]], f), FieldMatrix.zeros(4, 1, f))
@@ -224,6 +245,116 @@ def test_oracle_wide_signals_keep_residues_above_255():
     leak = entropic_oracle_edge(_two_node_instance("unqualified"), scheme, (1, 1))
     assert leak.failed
     assert leak.counterexample["signals"] == {"A1": [0, 0, 0, 0], "B1": [0, 0, 0, 0]}
+
+
+def _oracle_by_enumeration(scheme, kind):
+    """The oracle's verdict on the edge A1-B1 by a plain dict over every
+    state, with the failing signal pair that is least in base-p key order
+    (the key of a pair is sum(value[c] * p**c), A1's values first)."""
+    p, L, N = scheme.field.p, scheme.L, scheme.N
+    f = scheme.f_of("A1").to_lists() + scheme.f_of("B1").to_lists()
+    h = scheme.h_of("A1").to_lists() + scheme.h_of("B1").to_lists()
+    ref = [c for c in range(scheme.L_Z) if any(row[c] for row in h)]
+    secrets = list(itertools.product(range(p), repeat=L))
+    hz = [[sum(row[c] * v for c, v in zip(ref, z)) for row in h] for z in itertools.product(range(p), repeat=len(ref))]
+    table = {}  # signal pair -> {secret index: count}
+    for i, s in enumerate(secrets):
+        fs = [sum(a * b for a, b in zip(row, s)) for row in f]
+        for noise in hz:
+            per_secret = table.setdefault(tuple((a + b) % p for a, b in zip(fs, noise)), {})
+            per_secret[i] = per_secret.get(i, 0) + 1
+    states = p ** (L + len(ref))
+    for sig in sorted(table, key=lambda t: t[::-1]):
+        signals = {"A1": list(sig[:N]), "B1": list(sig[N:])}
+        per_secret = table[sig]
+        if kind == "qualified" and len(per_secret) > 1:
+            return "fail", states, {"signals": signals, "secrets": [list(secrets[i]) for i in sorted(per_secret)[:2]]}
+        vec = [per_secret.get(i, 0) for i in range(len(secrets))]
+        if kind == "unqualified" and min(vec) != max(vec):
+            lo, hi = vec.index(min(vec)), vec.index(max(vec))
+            return "fail", states, {
+                "signals": signals,
+                "secret_low": list(secrets[lo]),
+                "count_low": vec[lo],
+                "secret_high": list(secrets[hi]),
+                "count_high": vec[hi],
+            }
+    return "pass", states, None
+
+
+@st.composite
+def oracle_edges(draw):
+    """(kind, p, L, L_Z, N, masked, seed) for one edge of at most 1500
+    states; N reaches the widths where p^(2N) >= 2^62 for every p."""
+    p = draw(st.sampled_from([2, 3, 5, 17]))
+    L = draw(st.integers(1, 3))
+    L_Z = draw(st.integers(1, 3))
+    if p ** (L + L_Z) > 1500:
+        L = L_Z = 1
+    kind = draw(st.sampled_from(["qualified", "unqualified"]))
+    return kind, p, L, L_Z, draw(st.integers(1, 32)), draw(st.booleans()), draw(st.integers(0, 2**32 - 1))
+
+
+@given(oracle_edges())
+@example(("qualified", 2, 2, 2, 31, False, 0))  # p^(2N) = 2^62
+@example(("unqualified", 2, 2, 2, 32, False, 0))
+@example(("unqualified", 17, 1, 1, 8, True, 0))  # 17^16 >= 2^62, secret masked by noise
+@example(("qualified", 3, 2, 3, 20, True, 1))
+@settings(max_examples=100, deadline=None)
+def test_oracle_matches_dict_enumeration(edge):
+    kind, p, L, L_Z, N, masked, seed = edge
+    rng = np.random.default_rng(seed)
+    f = PrimeField(p)
+    precoders = {}
+    mix = rng.integers(0, p, size=(L_Z, L))
+    for node in ("A1", "B1"):
+        # sparse noise, so that some coordinates go unreferenced
+        h = rng.integers(0, p, size=(N, L_Z)) * (rng.random((N, L_Z)) < 0.6)
+        # a masked secret enters only through the noise, F = H @ mix
+        sec = h @ mix if masked else rng.integers(0, p, size=(N, L)) * (rng.random((N, L)) < 0.3)
+        precoders[node] = (FieldMatrix(sec, f), FieldMatrix(h, f))
+    scheme = LinearScheme(f, L, L_Z, N, precoders)
+    res = entropic_oracle_edge(_two_node_instance(kind), scheme, (1, 1))
+    assert (res.status, res.states, res.counterexample) == _oracle_by_enumeration(scheme, kind)
+
+
+@pytest.mark.parametrize("width", [1, 3, 5])
+def test_pair_table_keys_never_wrap(width):
+    # p^width and the 2^40 secret ids together overflow any single int64 key
+    p = 2**31 - 1
+    rng = np.random.default_rng(width)
+    pool = rng.integers(0, p, size=(6, width))
+    rows = pool[rng.integers(0, 6, size=60)]
+    secret_ids = rng.choice([0, 7, 2**40], size=60)
+    grid, pairs, counts, bounds = _pair_table(width, p, lambda cols, pw: rows[:, cols] @ pw, secret_ids)
+    n_secrets = 2**40 + 1
+    signal_of = {int(k) // n_secrets: tuple(row) for k, row in zip(grid.ravel(), rows.tolist())}
+    got = [(signal_of[int(k) // n_secrets], int(k) % n_secrets, int(c)) for k, c in zip(pairs, counts)]
+    tally = {}
+    for row, sec in zip(rows.tolist(), secret_ids.tolist()):
+        tally[tuple(row), sec] = tally.get((tuple(row), sec), 0) + 1
+    key = lambda item: (sum(v * p**c for c, v in enumerate(item[0][0])), item[0][1])  # noqa: E731
+    assert got == [(row, sec, c) for (row, sec), c in sorted(tally.items(), key=key)]
+    assert bounds.tolist() == [i for i in range(len(got) + 1) if i in (0, len(got)) or got[i][0] != got[i - 1][0]]
+
+
+def test_oracle_counts_sparsely():
+    # 2^18 states; a table of every distinct signal pair times every
+    # secret would need 128 GiB
+    f = PrimeField(2)
+    sec = np.vstack([np.eye(16, dtype=np.int64), np.zeros((1, 16), dtype=np.int64)])
+    noise_a = np.zeros((17, 2), dtype=np.int64)
+    noise_a[16] = [1, 1]
+    noise_b = np.zeros((17, 2), dtype=np.int64)
+    noise_b[16] = [1, 0]
+    a = (FieldMatrix(sec, f), FieldMatrix(noise_a, f))
+    b = (FieldMatrix.zeros(17, 16, f), FieldMatrix(noise_b, f))
+    scheme = LinearScheme(f, 16, 2, 17, {"A1": a, "B1": b})
+    res = entropic_oracle_edge(_two_node_instance("qualified"), scheme, (1, 1))
+    assert res.passed and res.states == 2**18
+    leak = entropic_oracle_edge(_two_node_instance("unqualified"), scheme, (1, 1))
+    assert leak.failed and leak.states == 2**18
+    assert leak.counterexample["signals"] == {"A1": [0] * 17, "B1": [0] * 17}
 
 
 # -- simulation ---------------------------------------------------------------
@@ -270,3 +401,38 @@ def test_simulate_keeps_residues_above_255():
     scheme = LinearScheme(f, 1, 1, 1, {"A1": node, "B1": node})
     (edge,) = simulate(inst, scheme, seed=0, trials=20_000).edges
     assert edge.distinct_signal_pairs == 257
+
+
+def test_simulate_spread_counts_every_secret_of_a_pair():
+    # both nodes send the noise symbol z: each of the 3 signal pairs is seen
+    # with all 3 secrets, and the spread is that of their counts; when B1
+    # sends s + z, each of the 9 pairs is seen with one secret only (values
+    # from an earlier implementation that counted with a dict over the trials)
+    inst = _two_node_instance("unqualified")
+    f = PrimeField(3)
+    noise = (FieldMatrix([[0]], f), FieldMatrix([[1]], f))
+    for b, expected in ((noise, (3, 81)), ((FieldMatrix([[1]], f), FieldMatrix([[1]], f)), (9, 0))):
+        (edge,) = simulate(inst, LinearScheme(f, 1, 1, 1, {"A1": noise, "B1": b}), seed=0, trials=10_000).edges
+        assert (edge.distinct_signal_pairs, edge.secret_count_spread) == expected
+
+
+# per edge, from an earlier implementation that counted with a dict over the
+# trials: decode successes on qualified edges, (distinct signal pairs,
+# secret-count spread) on unqualified ones
+SIMULATE_SEED_0 = {
+    ("fig2", "fig2-rate-2-5"): [10000] * 5 + [(5137, 1), (5151, 1), (5118, 1)],
+    ("fig8", "fig8-rate-7-18"): [10000] * 8 + [(10000, 0)] * 5,
+    ("fig2", "broken-garbled"): [0] + [10000] * 4 + [(5109, 1), (5151, 1), (5118, 1)],
+}
+
+
+@pytest.mark.parametrize("inst_name, scheme_name", list(SIMULATE_SEED_0))
+def test_simulate_outputs_are_pinned(inst_name, scheme_name):
+    inst = cc.catalog.builtin_instance(inst_name)
+    report = simulate(inst, cc.catalog.builtin_scheme(scheme_name), seed=0, trials=10_000)
+    assert [e.edge for e in report.edges] == [e for e, _ in inst.edges_with_kind()]
+    got = [
+        e.decode_successes if e.kind == "qualified" else (e.distinct_signal_pairs, e.secret_count_spread)
+        for e in report.edges
+    ]
+    assert got == SIMULATE_SEED_0[(inst_name, scheme_name)]
