@@ -87,9 +87,7 @@ def build_fig2_scheme() -> LinearScheme:
         (("A3", 3), ("B3", 3), [1, 0, 0, 0]),
     ]
     rng = np.random.default_rng(20240211)
-    scheme = solve_scheme_for_noise(
-        inst, field, L=4, h_map=h_map, rng=rng, inner_draws=64, pinned_rows=pins, pinned_diffs=diffs
-    )
+    scheme = solve_scheme_for_noise(inst, field, L=4, h_map=h_map, rng=rng, pinned_rows=pins, pinned_diffs=diffs)
     assert scheme is not None, "fig2 alignment solve failed"
     scheme = LinearScheme(
         field=scheme.field,

@@ -7,8 +7,8 @@ path/cycle instances, and verifies arbitrary linear schemes both through the
 linear alignment conditions and through an exhaustive entropic oracle.
 """
 
-from .fields import FieldError, FieldMatrix, PrimeField, field_inverse, is_prime, next_prime
-from .linalg import cauchy_matrix, rank, rank_rref, rowspace_intersection
+from .fields import FieldError, FieldMatrix, PrimeField, is_prime, next_prime
+from .linalg import cauchy_matrix, rank_rref, residue_rank, rowspace_intersection
 from .graph import (
     CdsInstance,
     CoverWitness,
@@ -17,7 +17,6 @@ from .graph import (
     RhoResult,
     disjoint_union,
     internal_qualified_edge_candidates,
-    load_instance,
     min_connected_edge_cover,
     parse_instance,
     qualified_components,
@@ -33,7 +32,6 @@ from .scheme import (
     VerificationReport,
     entropic_oracle_all,
     entropic_oracle_edge,
-    load_scheme,
     parse_scheme,
     rate,
     serialize_scheme,

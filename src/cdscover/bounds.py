@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 
 import numpy as np
 
@@ -37,16 +36,6 @@ def linear_converse_bound(inst: CdsInstance) -> tuple[Fraction, CoverWitness | N
 
 
 # -- isomorphism ------------------------------------------------------------------
-
-
-def _edge_maps(inst: CdsInstance) -> tuple[dict, dict]:
-    q: dict[int, set[int]] = {x: set() for x in range(1, inst.a_count + 1)}
-    u: dict[int, set[int]] = {x: set() for x in range(1, inst.a_count + 1)}
-    for x, y in inst.qualified:
-        q[x].add(y)
-    for x, y in inst.unqualified:
-        u[x].add(y)
-    return q, u
 
 
 def _transpose(inst: CdsInstance) -> CdsInstance:
@@ -378,13 +367,15 @@ def _solve_alignment(
     return None
 
 
+SOLVE_INNER_DRAWS = 64  # members of the solution space tried by solve_scheme_for_noise
+
+
 def solve_scheme_for_noise(
     inst: CdsInstance,
     field: PrimeField,
     L: int,
     h_map: dict[str, FieldMatrix],
     rng: np.random.Generator,
-    inner_draws: int = 8,
     pinned_rows: list[tuple[str, int, list[int]]] | None = None,
     pinned_diffs: list[tuple[tuple[str, int], tuple[str, int], list[int]]] | None = None,
 ) -> LinearScheme | None:
@@ -394,8 +385,8 @@ def solve_scheme_for_noise(
     the rows of the F matrices with scalar coefficients taken from the
     overlap coefficient matrices, so the whole solution space is an affine
     subspace: one exact solve parameterizes it. Random members are drawn
-    until every qualified edge has a full-rank secret difference (or
-    ``inner_draws`` is exhausted). ``pinned_rows`` fixes chosen F rows to
+    until every qualified edge has a full-rank secret difference, at most
+    SOLVE_INNER_DRAWS of them. ``pinned_rows`` fixes chosen F rows to
     given vectors and ``pinned_diffs`` fixes differences of two rows, which
     lets callers reproduce published scheme fragments. Nodes with no edges
     get all-zero secret precoders.
@@ -458,7 +449,7 @@ def solve_scheme_for_noise(
     if len(set(n_rows.values())) != 1:
         raise ValueError("all noise precoders must have the same row count N")
     n_sig = next(iter(n_rows.values()))
-    for _ in range(max(inner_draws, 1)):
+    for _ in range(SOLVE_INNER_DRAWS):
         coeffs = rng.integers(0, p, size=(k, L), dtype=np.int64) if k else np.zeros((0, L), np.int64)
         rows = np.mod(x0 + basis.T @ coeffs, p)
         ok = True

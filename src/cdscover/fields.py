@@ -66,17 +66,12 @@ class PrimeField:
         return f"PrimeField({self.p})"
 
 
-def field_inverse(a: int, field: PrimeField) -> int:
-    """Multiplicative inverse of ``a`` in ``field``; rejects zero."""
-    return field.inverse(a)
-
-
 class FieldMatrix:
     """Immutable dense matrix over a prime field.
 
     Wraps an int64 numpy array of canonical residues. Supports the handful
-    of operations the rest of the package needs: matmul, addition and
-    subtraction, scalar multiplication, stacking and slicing.
+    of operations the rest of the package needs: matmul, addition,
+    subtraction and row selection.
     """
 
     __slots__ = ("field", "_a")
@@ -137,9 +132,6 @@ class FieldMatrix:
     def to_lists(self) -> list[list[int]]:
         return [[int(x) for x in row] for row in self._a]
 
-    def row(self, i: int) -> np.ndarray:
-        return self._a[i]
-
     def take_rows(self, idx: Iterable[int]) -> "FieldMatrix":
         return FieldMatrix(self._a[list(idx), :], self.field)
 
@@ -162,15 +154,6 @@ class FieldMatrix:
     def __sub__(self, other: "FieldMatrix") -> "FieldMatrix":
         self._check_same_field(other)
         return FieldMatrix(np.mod(self._a - other._a, self.field.p), self.field)
-
-    def transpose(self) -> "FieldMatrix":
-        return FieldMatrix(self._a.T.copy(), self.field)
-
-    def vstack(self, other: "FieldMatrix") -> "FieldMatrix":
-        self._check_same_field(other)
-        if self.cols != other.cols:
-            raise FieldError("column count mismatch for vstack")
-        return FieldMatrix(np.vstack([self._a, other._a]), self.field)
 
     def is_zero(self) -> bool:
         return not self._a.any()

@@ -12,8 +12,7 @@ from __future__ import annotations
 
 import json
 from collections import deque
-from dataclasses import dataclass, field
-from fractions import Fraction
+from dataclasses import dataclass
 from typing import Collection, Iterator, Sequence
 
 import numpy as np
@@ -129,13 +128,12 @@ def _edge_list(obj, label: str) -> frozenset[tuple[int, int]]:
     return frozenset(pairs)
 
 
-def parse_instance(text: str, require_unqualified_incidence: bool = False) -> CdsInstance:
+def parse_instance(text: str) -> CdsInstance:
     """Parse and validate the instance JSON format.
 
     Rejects malformed JSON, out-of-range indices and overlapping edge
     colors. The model normalization (every node incident to an unqualified
-    edge) is only enforced when ``require_unqualified_incidence`` is set,
-    because several published instances violate it.
+    edge) is not enforced, because several published instances violate it.
     """
     try:
         obj = json.loads(text)
@@ -149,18 +147,13 @@ def parse_instance(text: str, require_unqualified_incidence: bool = False) -> Cd
     name = obj.get("name", "")
     if not isinstance(name, str):
         raise InstanceError("field 'name' must be a string")
-    inst = CdsInstance(
+    return CdsInstance(
         name=name,
         a_count=obj["a_count"],
         b_count=obj["b_count"],
         qualified=_edge_list(obj.get("qualified", []), "qualified"),
         unqualified=_edge_list(obj.get("unqualified", []), "unqualified"),
     )
-    if require_unqualified_incidence:
-        missing = inst.nodes_without_unqualified()
-        if missing:
-            raise InstanceError(f"node {missing[0]} has no unqualified edge")
-    return inst
 
 
 def serialize_instance(inst: CdsInstance) -> str:
@@ -173,11 +166,6 @@ def serialize_instance(inst: CdsInstance) -> str:
         "unqualified": [list(p) for p in sorted(inst.unqualified)],
     }
     return json.dumps(obj, indent=2) + "\n"
-
-
-def load_instance(path) -> CdsInstance:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_instance(fh.read())
 
 
 # -- qualified components ------------------------------------------------------
@@ -365,19 +353,8 @@ class CoverWitness:
 
     def violations(self, inst: CdsInstance) -> list[str]:
         """Re-check every invariant independently; empty list means valid."""
-        problems = []
-        qedges = set(inst.qualified_node_edges())
-        uedges = {frozenset(e) for e in inst.unqualified_node_edges()}
-        if self.edge not in qedges:
-            problems.append(f"edge {self.edge} is not a qualified edge")
-        if self.edge[0] not in self.path or self.edge[1] not in self.path:
-            problems.append("edge endpoints not on the path")
-        if len(set(self.path)) != len(self.path):
-            problems.append("path nodes are not distinct")
-        for a, b in zip(self.path, self.path[1:]):
-            if frozenset((a, b)) not in uedges:
-                problems.append(f"path step {a}-{b} is not an unqualified edge")
-        if not self.cover <= qedges:
+        problems = _pair_problems(inst, self.edge, self.path)
+        if not self.cover <= set(inst.qualified_node_edges()):
             problems.append("cover contains non-qualified edges")
         if self.edge not in self.cover:
             problems.append("cover does not contain the internal edge")
@@ -400,18 +377,22 @@ def _edges_connected(edges: frozenset[Edge]) -> bool:
     return len(_bfs_dist(adj, [start])) == len(nodes)
 
 
-def _validate_pair(inst: CdsInstance, e: Edge, path: Sequence[str]) -> None:
-    qedges = set(inst.qualified_node_edges())
-    if e not in qedges:
-        raise InstanceError(f"{e} is not a qualified edge of {inst.name!r}")
-    if not path or e[0] not in path or e[1] not in path:
-        raise InstanceError("both endpoints of the internal edge must lie on the path")
-    uedges = {frozenset(x) for x in inst.unqualified_node_edges()}
+def _pair_problems(inst: CdsInstance, e: Edge, path: Sequence[str]) -> list[str]:
+    """What is wrong with (e, P): e must be a qualified edge, P a path of
+    distinct nodes through both of e's endpoints, and each step of P an
+    unqualified edge. An empty list means the pair is valid."""
+    problems = []
+    if e not in inst.qualified_node_edges():
+        problems.append(f"edge {e} is not a qualified edge of {inst.name!r}")
+    if e[0] not in path or e[1] not in path:
+        problems.append("edge endpoints not on the path")
     if len(set(path)) != len(path):
-        raise InstanceError("path nodes must be distinct")
+        problems.append("path nodes are not distinct")
+    uedges = {frozenset(x) for x in inst.unqualified_node_edges()}
     for a, b in zip(path, path[1:]):
         if frozenset((a, b)) not in uedges:
-            raise InstanceError(f"path step {a}-{b} is not an unqualified edge")
+            problems.append(f"path step {a}-{b} is not an unqualified edge")
+    return problems
 
 
 def _incident_edges(inst: CdsInstance) -> dict[str, list[Edge]]:
@@ -459,7 +440,9 @@ def min_connected_edge_cover(inst: CdsInstance, e: Edge, path: Sequence[str]) ->
     among the smallest that cover every node of P, the least by
     ``tuple(sorted(cover))`` is returned.
     """
-    _validate_pair(inst, e, path)
+    problems = _pair_problems(inst, e, path)
+    if problems:
+        raise InstanceError(problems[0])
     target = set(path)
     if not target <= set(_bfs_dist(inst.qualified_adjacency(), [e[0]])):
         return None
@@ -643,19 +626,8 @@ def _minimal_repair(inst: CdsInstance, rng: np.random.Generator) -> list[tuple[i
     lack_b = [int(n[1:]) for n in lacking if n[0] == "B"]
     adj = {x: [y for y in lack_b if (x, y) not in taken] for x in lack_a}
     match_of_b: dict[int, int] = {}
-
-    def augment(x: int, visited: set[int]) -> bool:
-        for y in adj[x]:
-            if y in visited:
-                continue
-            visited.add(y)
-            if y not in match_of_b or augment(match_of_b[y], visited):
-                match_of_b[y] = x
-                return True
-        return False
-
     for x in lack_a:
-        augment(x, set())
+        _augment(x, adj, match_of_b)
     added = [(x, y) for y, x in sorted(match_of_b.items())]
     covered = {a_node(x) for x, _ in added} | {b_node(y) for _, y in added}
     for node in lacking:
@@ -666,6 +638,32 @@ def _minimal_repair(inst: CdsInstance, rng: np.random.Generator) -> list[tuple[i
             raise InstanceError(f"cannot give node {node} an unqualified edge")
         added.append(pool[int(rng.integers(0, len(pool)))])
     return added
+
+
+def _augment(root: int, adj: dict[int, list[int]], match_of_b: dict[int, int]) -> None:
+    """Kuhn's augmenting-path search from ``root``, depth first with an
+    explicit stack so that long paths need no recursion. Neighbours are
+    tried in ``adj`` order and each B-node is visited at most once; that
+    order fixes which maximum matching, and so which seeded instance,
+    comes out."""
+    visited: set[int] = set()
+    stack = [(root, iter(adj[root]))]  # (A-node, its untried neighbours)
+    path: list[int] = []  # path[i] is the B-node through which stack[i + 1] was reached
+    while stack:
+        y = next((y for y in stack[-1][1] if y not in visited), None)
+        if y is None:
+            stack.pop()
+            if path:
+                path.pop()
+            continue
+        visited.add(y)
+        if y not in match_of_b:
+            # flip the path: each A-node on the stack takes the B-node after it
+            for (x, _), b in zip(stack, path + [y]):
+                match_of_b[b] = x
+            return
+        path.append(y)
+        stack.append((match_of_b[y], iter(adj[match_of_b[y]])))
 
 
 def _pair(u: str, v: str) -> tuple[int, int]:

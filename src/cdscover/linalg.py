@@ -72,10 +72,6 @@ def rref_with_transform(m: FieldMatrix) -> tuple[FieldMatrix, FieldMatrix, list[
     return FieldMatrix(work[:, : m.cols], m.field), FieldMatrix(work[:, m.cols :], m.field), pivots
 
 
-def rank(m: FieldMatrix) -> int:
-    return rank_rref(m).rank
-
-
 def nullspace(m: FieldMatrix) -> FieldMatrix:
     """Basis (as rows) of the right null space {x : m @ x = 0}."""
     r, rref, pivots = rank_rref(m)
@@ -85,11 +81,6 @@ def nullspace(m: FieldMatrix) -> FieldMatrix:
     basis[np.arange(len(free)), free] = 1
     basis[:, pivots] = -rref.array[:r, free].T
     return FieldMatrix(basis, m.field)
-
-
-def left_nullspace(m: FieldMatrix) -> FieldMatrix:
-    """Basis (as rows) of {w : w @ m = 0}."""
-    return nullspace(m.transpose())
 
 
 class RowspaceIntersection(NamedTuple):
@@ -120,7 +111,7 @@ def rowspace_intersection(a: FieldMatrix, b: FieldMatrix) -> RowspaceIntersectio
     field = a.field
     used = np.nonzero(a.array.any(axis=0) | b.array.any(axis=0))[0]
     a_used = a.array[:, used]
-    w = left_nullspace(FieldMatrix(np.vstack([a_used, b.array[:, used]]), field))
+    w = nullspace(FieldMatrix(np.vstack([a_used, b.array[:, used]]).T, field))
     w_a = w.array[:, : a.rows]
     w_b = w.array[:, a.rows :]
     candidates = FieldMatrix(w_a @ a_used, field)
@@ -161,13 +152,3 @@ def solve_right(a: FieldMatrix, b: FieldMatrix) -> FieldMatrix | None:
     for row_idx, pc in enumerate(pivots):
         x[pc] = red.array[row_idx, n:]
     return FieldMatrix(x, a.field)
-
-
-def invert(m: FieldMatrix) -> FieldMatrix:
-    """Inverse of a square matrix; raises FieldError if singular."""
-    if m.rows != m.cols:
-        raise FieldError("only square matrices can be inverted")
-    red, t, pivots = rref_with_transform(m)
-    if len(pivots) != m.rows:
-        raise FieldError("matrix is singular")
-    return t

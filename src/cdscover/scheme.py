@@ -19,7 +19,7 @@ import numpy as np
 
 from .fields import FieldError, FieldMatrix, PrimeField
 from .graph import CdsInstance, a_node, b_node, node_key
-from .linalg import rank, rowspace_intersection, rref_with_transform
+from .linalg import residue_rank, rowspace_intersection, rref_with_transform
 
 
 class SchemeError(ValueError):
@@ -144,11 +144,6 @@ def serialize_scheme(scheme: LinearScheme) -> str:
     return json.dumps(obj, indent=2) + "\n"
 
 
-def load_scheme(path) -> LinearScheme:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_scheme(fh.read())
-
-
 # -- linear verifier ------------------------------------------------------------
 
 
@@ -201,8 +196,7 @@ def verify_linear(inst: CdsInstance, scheme: LinearScheme) -> VerificationReport
     scheme.check_for_instance(inst)
     records: list[CheckRecord] = []
     for node in sorted(inst.nodes(), key=node_key):
-        h = scheme.h_of(node)
-        r = rank(h)
+        r = residue_rank(scheme.h_of(node).array, scheme.field.p)
         records.append(
             CheckRecord(
                 subject=node,
@@ -218,7 +212,7 @@ def verify_linear(inst: CdsInstance, scheme: LinearScheme) -> VerificationReport
         diff = (inter.p_a @ scheme.f_of(va)) - (inter.p_b @ scheme.f_of(vb))
         subject = f"{va}-{vb}"
         if kind == "qualified":
-            r = rank(diff)
+            r = residue_rank(diff.array, scheme.field.p)
             records.append(
                 CheckRecord(
                     subject=subject,
@@ -294,10 +288,10 @@ def _all_tuples(p: int, n: int) -> np.ndarray:
     return np.indices((p,) * n, dtype=np.int64).reshape(n, -1).T
 
 
-def _pair_table(width: int, p: int, signal_keys, secret_ids: np.ndarray) -> tuple[np.ndarray, ...]:
+def _pair_table(width: int, p: int, signal_keys, n_secrets: int) -> tuple[np.ndarray, ...]:
     """Exact sparse table of the (signal, secret) pairs of a grid of samples.
 
-    Row i of the grid holds samples of secret ``secret_ids[i]``. A signal is
+    Row i of the grid holds samples of secret i < ``n_secrets``. A signal is
     ``width`` residues with base-p key sum(value[c] * p**c);
     ``signal_keys(cols, powers)`` returns every sample's key over the slice
     ``cols`` as a fresh int64 array in row-major order. Chunks of columns,
@@ -308,7 +302,6 @@ def _pair_table(width: int, p: int, signal_keys, secret_ids: np.ndarray) -> tupl
     with their counts, and the index of each signal's first pair followed
     by the number of pairs.
     """
-    n_secrets = int(secret_ids.max()) + 1
     key, bound, stop = 0, 1, width  # key < bound
     while True:
         start = max(stop - 1, 0)
@@ -321,9 +314,9 @@ def _pair_table(width: int, p: int, signal_keys, secret_ids: np.ndarray) -> tupl
             break
         uniq, key = np.unique(key, return_inverse=True)
         bound = len(uniq)
-    grid = key.reshape(len(secret_ids), -1)
+    grid = key.reshape(n_secrets, -1)
     grid *= n_secrets
-    grid += secret_ids[:, None]
+    grid += np.arange(n_secrets)[:, None]
     pairs, counts = np.unique(grid, return_counts=True)
     signal = pairs // n_secrets
     return grid, pairs, counts, np.flatnonzero(np.concatenate(([True], signal[1:] != signal[:-1], [True])))
@@ -348,6 +341,11 @@ def entropic_oracle_edge(
     explicit "not-checked".
     """
     scheme.check_for_instance(inst)
+    return _edge_oracle(inst, scheme, edge, budget)
+
+
+def _edge_oracle(inst: CdsInstance, scheme: LinearScheme, edge: tuple[int, int], budget: int) -> OracleResult:
+    """``entropic_oracle_edge`` on a scheme already checked against ``inst``."""
     if edge in inst.qualified:
         kind = "qualified"
     elif edge in inst.unqualified:
@@ -381,7 +379,7 @@ def entropic_oracle_edge(
             keys[s_idx] = np.mod(hz[:, cols] + fs[s_idx, cols], p) @ powers
         return keys.ravel()
 
-    grid, pairs, counts, bounds = _pair_table(2 * scheme.N, p, signal_keys, np.arange(n_secrets))
+    grid, pairs, counts, bounds = _pair_table(2 * scheme.N, p, signal_keys, n_secrets)
     secret_of = pairs % n_secrets
     starts, sizes = bounds[:-1], np.diff(bounds)  # sizes: distinct secrets per signal pair
     if kind == "qualified":
@@ -413,7 +411,8 @@ def entropic_oracle_edge(
 def entropic_oracle_all(
     inst: CdsInstance, scheme: LinearScheme, budget: int = DEFAULT_ORACLE_BUDGET
 ) -> list[OracleResult]:
-    return [entropic_oracle_edge(inst, scheme, e, budget) for e, _ in inst.edges_with_kind()]
+    scheme.check_for_instance(inst)
+    return [_edge_oracle(inst, scheme, e, budget) for e, _ in inst.edges_with_kind()]
 
 
 # -- simulation -----------------------------------------------------------------
@@ -422,17 +421,13 @@ def entropic_oracle_all(
 @dataclass(frozen=True)
 class EdgeSimulation:
     edge: tuple[int, int]
-    kind: str
+    kind: str  # always "qualified": only qualified edges are simulated
     trials: int
-    decode_successes: int | None  # qualified edges only
-    decodable: bool | None
-    distinct_signal_pairs: int | None  # unqualified edges only
-    secret_count_spread: int | None
+    decode_successes: int
+    decodable: bool
 
     @property
-    def success_frequency(self) -> float | None:
-        if self.decode_successes is None or self.trials == 0:
-            return None
+    def success_frequency(self) -> float:
         return self.decode_successes / self.trials
 
     def to_json(self) -> dict:
@@ -443,8 +438,6 @@ class EdgeSimulation:
             "decode_successes": self.decode_successes,
             "decodable": self.decodable,
             "success_frequency": self.success_frequency,
-            "distinct_signal_pairs": self.distinct_signal_pairs,
-            "secret_count_spread": self.secret_count_spread,
         }
 
 
@@ -463,12 +456,13 @@ class SimulationReport:
 
 
 def simulate(inst: CdsInstance, scheme: LinearScheme, seed: int, trials: int) -> SimulationReport:
-    """Monte Carlo smoke test: sample (S, Z), decode on qualified edges,
-    tabulate empirical secret-given-signals counts on unqualified edges.
+    """Monte Carlo smoke test: sample (S, Z) and decode on every qualified edge.
 
     Deterministic under the seed. On a scheme passing the linear verifier,
     qualified decode frequency is exactly 1.0; the decoder inverts the
-    full-rank secret difference on the noise overlap.
+    full-rank secret difference on the noise overlap. Secrecy on
+    unqualified edges is checked by ``verify_linear`` and the entropic
+    oracle, not here.
     """
     scheme.check_for_instance(inst)
     if trials == 0:
@@ -477,30 +471,20 @@ def simulate(inst: CdsInstance, scheme: LinearScheme, seed: int, trials: int) ->
     p = scheme.field.p
     s_draws = rng.integers(0, p, size=(trials, scheme.L), dtype=np.int64)
     z_draws = rng.integers(0, p, size=(trials, scheme.L_Z), dtype=np.int64)
-    # numpy releases differ in the shape they give an axis-0 unique's inverse
-    secret_ids = np.unique(s_draws, axis=0, return_inverse=True)[1].reshape(-1)
     sims: list[EdgeSimulation] = []
-    for (x, y), kind in inst.edges_with_kind():
+    for x, y in sorted(inst.qualified):
         va, vb = a_node(x), b_node(y)
+        inter = rowspace_intersection(scheme.h_of(va), scheme.h_of(vb))
+        diff = (inter.p_a @ scheme.f_of(va)) - (inter.p_b @ scheme.f_of(vb))
+        _, t, pivots = rref_with_transform(diff)
+        if len(pivots) < scheme.L:
+            sims.append(EdgeSimulation((x, y), "qualified", trials, 0, False))
+            continue
         sig_a = np.mod(s_draws @ scheme.f_of(va).array.T + z_draws @ scheme.h_of(va).array.T, p)
         sig_b = np.mod(s_draws @ scheme.f_of(vb).array.T + z_draws @ scheme.h_of(vb).array.T, p)
-        if kind == "qualified":
-            inter = rowspace_intersection(scheme.h_of(va), scheme.h_of(vb))
-            diff = (inter.p_a @ scheme.f_of(va)) - (inter.p_b @ scheme.f_of(vb))
-            _, t, pivots = rref_with_transform(diff)
-            if len(pivots) < scheme.L:
-                sims.append(EdgeSimulation((x, y), kind, trials, 0, False, None, None))
-                continue
-            decoder = t.array[: scheme.L]  # T @ diff == [I_L; 0]
-            obs = np.mod(sig_a @ inter.p_a.array.T - sig_b @ inter.p_b.array.T, p)
-            decoded = np.mod(obs @ decoder.T, p)
-            successes = int(np.all(decoded == s_draws, axis=1).sum())
-            sims.append(EdgeSimulation((x, y), kind, trials, successes, True, None, None))
-        else:
-            signals = np.hstack([sig_a, sig_b])
-            _, _, counts, bounds = _pair_table(2 * scheme.N, p, lambda cols, pw: signals[:, cols] @ pw, secret_ids)
-            # the spread of the counts of the secrets seen with each signal pair
-            starts = bounds[:-1]
-            spread = int((np.maximum.reduceat(counts, starts) - np.minimum.reduceat(counts, starts)).max())
-            sims.append(EdgeSimulation((x, y), kind, trials, None, None, len(starts), spread))
+        decoder = t.array[: scheme.L]  # T @ diff == [I_L; 0]
+        obs = np.mod(sig_a @ inter.p_a.array.T - sig_b @ inter.p_b.array.T, p)
+        decoded = np.mod(obs @ decoder.T, p)
+        successes = int(np.all(decoded == s_draws, axis=1).sum())
+        sims.append(EdgeSimulation((x, y), "qualified", trials, successes, True))
     return SimulationReport(trials=trials, seed=seed, edges=tuple(sims))

@@ -68,7 +68,7 @@ def tiny_oracle_instances():
 def random_full_rank_h(rng, field: PrimeField, n: int, l_z: int) -> FieldMatrix:
     while True:
         h = FieldMatrix.random(n, l_z, field, rng)
-        if cc.rank(h) == n:
+        if cc.residue_rank(h.array, field.p) == n:
             return h
 
 

@@ -115,6 +115,65 @@ def test_isomorphism_matches_brute_force(catalog_instances):
     assert not color_isomorphic(fig8, catalog_instances["fig9"])
 
 
+def _networkx_color_isomorphic(first, second):
+    """Independent oracle: networkx isomorphism that keeps edge colours and
+    maps all A-nodes to one side, with the sides kept or swapped."""
+    nx = pytest.importorskip("networkx")
+
+    def graph(inst):
+        g = nx.Graph()
+        g.add_nodes_from((("A", x), {"side": "A"}) for x in range(1, inst.a_count + 1))
+        g.add_nodes_from((("B", y), {"side": "B"}) for y in range(1, inst.b_count + 1))
+        g.add_edges_from((("A", x), ("B", y), {"color": "q"}) for x, y in inst.qualified)
+        g.add_edges_from((("A", x), ("B", y), {"color": "u"}) for x, y in inst.unqualified)
+        return g
+
+    g1, g2 = graph(first), graph(second)
+    return any(
+        nx.is_isomorphic(
+            g1,
+            g2,
+            node_match=lambda n1, n2: (n1["side"] == n2["side"]) == kept,
+            edge_match=lambda e1, e2: e1["color"] == e2["color"],
+        )
+        for kept in (True, False)
+    )
+
+
+@st.composite
+def instance_pairs(draw):
+    """An instance and a relabelling of it, with sides kept or swapped,
+    after one pair was possibly recoloured or two rows swapped their
+    colours on two columns (which keeps every row's colour counts)."""
+    a, b = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    pairs = [(x, y) for x in range(1, a + 1) for y in range(1, b + 1)]
+    colors = dict(zip(pairs, draw(st.lists(st.sampled_from("-qu"), min_size=len(pairs), max_size=len(pairs)))))
+
+    def make(name, col):
+        q = frozenset(k for k, c in col.items() if c == "q")
+        return CdsInstance(name, a, b, q, frozenset(k for k, c in col.items() if c == "u"))
+
+    first = make("first", colors)
+    change = draw(st.sampled_from(("none", "recolour", "switch")))
+    if change == "recolour":
+        colors[draw(st.sampled_from(pairs))] = draw(st.sampled_from("-qu"))
+    elif change == "switch" and a > 1 and b > 1:
+        x1, x2 = draw(st.permutations(range(1, a + 1)))[:2]
+        y1, y2 = draw(st.permutations(range(1, b + 1)))[:2]
+        for x in (x1, x2):
+            colors[x, y1], colors[x, y2] = colors[x, y2], colors[x, y1]
+    a_perm = dict(zip(range(1, a + 1), draw(st.permutations(range(1, a + 1)))))
+    b_perm = dict(zip(range(1, b + 1), draw(st.permutations(range(1, b + 1)))))
+    return first, _relabel(make("second", colors), a_perm, b_perm, swap=draw(st.booleans()))
+
+
+@given(instance_pairs())
+@settings(max_examples=300, deadline=None)
+def test_isomorphism_matches_networkx(pair):
+    first, second = pair
+    assert color_isomorphic(first, second) == _networkx_color_isomorphic(first, second)
+
+
 def test_search_finds_fig2_scheme(catalog_instances):
     inst = catalog_instances["fig2"]
     scheme = random_scheme_search(inst, p=3, L=4, N=5, L_Z=9, seed=0, budget=2000)

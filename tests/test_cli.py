@@ -115,8 +115,10 @@ def test_search_cli_failure_exit(capsys):
 
 def test_simulate_cli(capsys):
     assert main(["simulate", "fig2", "fig2-rate-2-5", "--trials", "200", "--seed", "1"]) == 0
-    out = capsys.readouterr().out
-    assert "decode frequency 1.000000" in out
+    lines = capsys.readouterr().out.splitlines()
+    # one line per qualified edge; unqualified edges are not simulated
+    assert lines[0] == "trials = 200" and len(lines) == 6
+    assert all(line.endswith("qualified decode frequency 1.000000") for line in lines[1:])
 
 
 def test_catalog_list_and_export(tmp_path, capsys):

@@ -2,23 +2,23 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from cdscover.fields import FieldError, FieldMatrix, PrimeField, field_inverse, is_prime, next_prime
+from cdscover.fields import FieldError, FieldMatrix, PrimeField, is_prime, next_prime
 
 PRIMES = [2, 3, 5, 7, 11, 13, 17]
 
 
 def test_inverse_identity():
-    assert field_inverse(1, PrimeField(5)) == 1
+    assert PrimeField(5).inverse(1) == 1
 
 
 def test_inverse_three_mod_five():
     # 3*2 = 6 = 1 mod 5
-    assert field_inverse(3, PrimeField(5)) == 2
+    assert PrimeField(5).inverse(3) == 2
 
 
 def test_inverse_of_zero_rejected():
     with pytest.raises(FieldError, match="non-invertible"):
-        field_inverse(0, PrimeField(7))
+        PrimeField(7).inverse(0)
 
 
 def test_non_prime_modulus_rejected():

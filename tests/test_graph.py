@@ -1,5 +1,7 @@
+import hashlib
 import itertools
 import json
+import sys
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -9,6 +11,7 @@ from cdscover.graph import (
     CdsInstance,
     CoverWitness,
     InstanceError,
+    _augment,
     internal_qualified_edge_candidates,
     min_connected_edge_cover,
     parse_instance,
@@ -46,13 +49,11 @@ def test_parse_reports_json_position():
         parse_instance("{oops")
 
 
-def test_parse_strict_normalization_flag():
+def test_parse_accepts_nodes_without_unqualified_edges():
     text = json.dumps(
         {"name": "x", "a_count": 1, "b_count": 2, "qualified": [[1, 1]], "unqualified": [[1, 2]]}
     )
     # B1 touches only a qualified edge
-    with pytest.raises(InstanceError, match="B1"):
-        parse_instance(text, require_unqualified_incidence=True)
     inst = parse_instance(text)
     assert inst.nodes_without_unqualified() == ["B1"]
 
@@ -147,6 +148,28 @@ def test_min_cover_validates_pair(catalog_instances):
         min_connected_edge_cover(fig2, ("A1", "B2"), ("A1", "B2"))  # not qualified
     with pytest.raises(InstanceError):
         min_connected_edge_cover(fig2, ("A1", "B1"), ("A1", "B2", "A3"))  # B1 not on path
+
+
+@pytest.mark.parametrize(
+    "edge, path, problem",
+    [
+        (("A1", "B2"), ("A1", "B2"), "edge ('A1', 'B2') is not a qualified edge of 'fig2'"),
+        (("A1", "B1"), ("A1", "B2", "A3"), "edge endpoints not on the path"),
+        (("A1", "B1"), ("A1", "B2", "A3", "B2", "A3", "B1"), "path nodes are not distinct"),
+        (("A1", "B1"), ("A1", "B1"), "path step A1-B1 is not an unqualified edge"),
+        # all but the repeated node at once: the cover search raises the first
+        (("A1", "B2"), ("A1", "B1"), "edge ('A1', 'B2') is not a qualified edge of 'fig2'"),
+    ],
+    ids=["not-qualified", "endpoint-off-path", "repeated-node", "qualified-step", "several"],
+)
+def test_pair_checks_agree(catalog_instances, edge, path, problem):
+    # the cover search and the witness checker report the same problem
+    fig2 = catalog_instances["fig2"]
+    cover = frozenset(fig2.qualified_node_edges())
+    assert CoverWitness(edge=edge, path=path, cover=cover).violations(fig2)[0] == problem
+    with pytest.raises(InstanceError) as err:
+        min_connected_edge_cover(fig2, edge, path)
+    assert str(err.value) == problem
 
 
 def _exhaustive_min_cover(inst, e, path, max_size=None):
@@ -356,6 +379,81 @@ def test_random_instance_density_zero_repair_is_minimal():
     assert inst.nodes_without_unqualified() == []
     # all 6 nodes lacked coverage; pairing uncovered nodes needs exactly 3 edges
     assert len(inst.unqualified) == 3
+
+
+# sha256 prefixes of serialize_instance, pinned from the recursive matching
+# that the repair used before; at density 0 every node needs the repair
+PINNED_INSTANCES = {
+    (0, 5, 5, "cycle", 0.0): "3cdc3d5dfec3a760",
+    (1, 6, 6, "cycle", 0.1): "0d7b1f8770492363",
+    (2, 7, 6, "path", 0.0): "4c26c3d5798c61f8",
+    (3, 6, 7, "path", 0.2): "05426d86b0fbc811",
+    (4, 12, 12, "cycle", 0.05): "62fcab6f5d075e3d",
+    (5, 30, 30, "path", 0.0): "b6672d80c3f714cf",
+    (6, 40, 40, "cycle", 0.02): "dd195f425623e598",
+    (7, 9, 9, "path", 0.5): "ac7f6478e22893b1",
+    (0, 150, 150, "cycle", 0.0): "4a8ca7fc537cbaf4",
+    (1, 151, 150, "path", 0.0): "0e0b8dc0c4ac1454",
+}
+
+
+def _instance_hash(inst):
+    return hashlib.sha256(serialize_instance(inst).encode()).hexdigest()[:16]
+
+
+@pytest.mark.parametrize("args", list(PINNED_INSTANCES))
+def test_random_instance_is_pinned(args):
+    assert _instance_hash(random_instance(*args)) == PINNED_INSTANCES[args]
+
+
+def test_repair_matching_needs_no_recursion():
+    # at density 0 the augmenting path of the i-th A-node runs through
+    # about i matched nodes; a recursive search needed a frame for each
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 60)
+    try:
+        inst = random_instance(0, 150, 150, "cycle", 0.0)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert _instance_hash(inst) == PINNED_INSTANCES[(0, 150, 150, "cycle", 0.0)]
+
+
+def _recursive_matching(lack_a, adj):
+    """Reference: Kuhn's augmenting-path search written recursively."""
+    match_of_b = {}
+
+    def augment(x, visited):
+        for y in adj[x]:
+            if y in visited:
+                continue
+            visited.add(y)
+            if y not in match_of_b or augment(match_of_b[y], visited):
+                match_of_b[y] = x
+                return True
+        return False
+
+    for x in lack_a:
+        augment(x, set())
+    return match_of_b
+
+
+@st.composite
+def bipartite_adjacency(draw):
+    lack_a = draw(st.lists(st.integers(1, 12), unique=True, max_size=10))
+    return lack_a, {x: draw(st.lists(st.integers(1, 12), unique=True, max_size=10)) for x in lack_a}
+
+
+@given(bipartite_adjacency())
+@settings(max_examples=300, deadline=None)
+def test_augment_matches_recursive_reference(graph):
+    lack_a, adj = graph
+    match_of_b = {}
+    for x in lack_a:
+        _augment(x, adj, match_of_b)
+    assert match_of_b == _recursive_matching(lack_a, adj)
 
 
 def test_random_instance_rejects_impossible_shapes():

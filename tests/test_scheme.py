@@ -318,24 +318,37 @@ def test_oracle_matches_dict_enumeration(edge):
     assert (res.status, res.states, res.counterexample) == _oracle_by_enumeration(scheme, kind)
 
 
-@pytest.mark.parametrize("width", [1, 3, 5])
+@pytest.mark.parametrize("width", [1, 2, 3, 5])
 def test_pair_table_keys_never_wrap(width):
-    # p^width and the 2^40 secret ids together overflow any single int64 key
+    # from width 2 on, p^width times the secret count overflows a single
+    # int64 key: at width 2 only the room for the secret is missing
     p = 2**31 - 1
+    n_secrets = 3
     rng = np.random.default_rng(width)
     pool = rng.integers(0, p, size=(6, width))
-    rows = pool[rng.integers(0, 6, size=60)]
-    secret_ids = rng.choice([0, 7, 2**40], size=60)
-    grid, pairs, counts, bounds = _pair_table(width, p, lambda cols, pw: rows[:, cols] @ pw, secret_ids)
-    n_secrets = 2**40 + 1
+    rows = pool[rng.integers(0, 6, size=60)]  # 20 samples of each secret, in secret order
+    grid, pairs, counts, bounds = _pair_table(width, p, lambda cols, pw: rows[:, cols] @ pw, n_secrets)
     signal_of = {int(k) // n_secrets: tuple(row) for k, row in zip(grid.ravel(), rows.tolist())}
     got = [(signal_of[int(k) // n_secrets], int(k) % n_secrets, int(c)) for k, c in zip(pairs, counts)]
     tally = {}
-    for row, sec in zip(rows.tolist(), secret_ids.tolist()):
+    for row, sec in zip(rows.tolist(), np.repeat(np.arange(n_secrets), 20).tolist()):
         tally[tuple(row), sec] = tally.get((tuple(row), sec), 0) + 1
     key = lambda item: (sum(v * p**c for c, v in enumerate(item[0][0])), item[0][1])  # noqa: E731
     assert got == [(row, sec, c) for (row, sec), c in sorted(tally.items(), key=key)]
     assert bounds.tolist() == [i for i in range(len(got) + 1) if i in (0, len(got)) or got[i][0] != got[i - 1][0]]
+
+
+def test_oracle_all_checks_the_scheme_once(monkeypatch):
+    inst = cc.catalog.builtin_instance("fig2")
+    scheme = cc.catalog.builtin_scheme("fig2-rate-2-5")
+    checked = []
+    check = LinearScheme.check_for_instance
+    monkeypatch.setattr(LinearScheme, "check_for_instance", lambda s, i: checked.append(i) or check(s, i))
+    assert len(cc.entropic_oracle_all(inst, scheme, budget=0)) == 8 and len(checked) == 1
+    entropic_oracle_edge(inst, scheme, (1, 1), budget=0)
+    assert len(checked) == 2
+    with pytest.raises(SchemeError, match="lacks precoders"):
+        cc.entropic_oracle_all(cc.catalog.builtin_instance("fig8"), scheme)
 
 
 def test_oracle_counts_sparsely():
@@ -371,9 +384,7 @@ def test_simulate_verified_scheme_decodes_always():
     inst = cc.catalog.builtin_instance("fig2")
     scheme = cc.catalog.builtin_scheme("fig2-rate-2-5")
     report = simulate(inst, scheme, seed=3, trials=500)
-    for e in report.edges:
-        if e.kind == "qualified":
-            assert e.success_frequency == 1.0
+    assert [e.success_frequency for e in report.edges] == [1.0] * len(inst.qualified)
 
 
 def test_simulate_deterministic_under_seed():
@@ -392,37 +403,12 @@ def test_simulate_broken_scheme_fails_sometimes():
     assert freqs and freqs[0] < 1.0
 
 
-def test_simulate_keeps_residues_above_255():
-    # both nodes send the same uniform noise symbol, so with 20k trials the
-    # unqualified edge sees all 257 signal pairs, 0 and 256 among them
-    inst = _two_node_instance("unqualified")
-    f = PrimeField(257)
-    node = (FieldMatrix([[0]], f), FieldMatrix([[1]], f))
-    scheme = LinearScheme(f, 1, 1, 1, {"A1": node, "B1": node})
-    (edge,) = simulate(inst, scheme, seed=0, trials=20_000).edges
-    assert edge.distinct_signal_pairs == 257
-
-
-def test_simulate_spread_counts_every_secret_of_a_pair():
-    # both nodes send the noise symbol z: each of the 3 signal pairs is seen
-    # with all 3 secrets, and the spread is that of their counts; when B1
-    # sends s + z, each of the 9 pairs is seen with one secret only (values
-    # from an earlier implementation that counted with a dict over the trials)
-    inst = _two_node_instance("unqualified")
-    f = PrimeField(3)
-    noise = (FieldMatrix([[0]], f), FieldMatrix([[1]], f))
-    for b, expected in ((noise, (3, 81)), ((FieldMatrix([[1]], f), FieldMatrix([[1]], f)), (9, 0))):
-        (edge,) = simulate(inst, LinearScheme(f, 1, 1, 1, {"A1": noise, "B1": b}), seed=0, trials=10_000).edges
-        assert (edge.distinct_signal_pairs, edge.secret_count_spread) == expected
-
-
-# per edge, from an earlier implementation that counted with a dict over the
-# trials: decode successes on qualified edges, (distinct signal pairs,
-# secret-count spread) on unqualified ones
+# decode successes per qualified edge, from an earlier implementation that
+# counted with a dict over the trials
 SIMULATE_SEED_0 = {
-    ("fig2", "fig2-rate-2-5"): [10000] * 5 + [(5137, 1), (5151, 1), (5118, 1)],
-    ("fig8", "fig8-rate-7-18"): [10000] * 8 + [(10000, 0)] * 5,
-    ("fig2", "broken-garbled"): [0] + [10000] * 4 + [(5109, 1), (5151, 1), (5118, 1)],
+    ("fig2", "fig2-rate-2-5"): [10000] * 5,
+    ("fig8", "fig8-rate-7-18"): [10000] * 8,
+    ("fig2", "broken-garbled"): [0] + [10000] * 4,
 }
 
 
@@ -430,9 +416,5 @@ SIMULATE_SEED_0 = {
 def test_simulate_outputs_are_pinned(inst_name, scheme_name):
     inst = cc.catalog.builtin_instance(inst_name)
     report = simulate(inst, cc.catalog.builtin_scheme(scheme_name), seed=0, trials=10_000)
-    assert [e.edge for e in report.edges] == [e for e, _ in inst.edges_with_kind()]
-    got = [
-        e.decode_successes if e.kind == "qualified" else (e.distinct_signal_pairs, e.secret_count_spread)
-        for e in report.edges
-    ]
-    assert got == SIMULATE_SEED_0[(inst_name, scheme_name)]
+    assert [e.edge for e in report.edges] == sorted(inst.qualified)
+    assert [e.decode_successes for e in report.edges] == SIMULATE_SEED_0[(inst_name, scheme_name)]
