@@ -9,6 +9,7 @@ name of a catalog fixture. Exit status: 0 on pass/success, 1 on fail/none,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -247,7 +248,14 @@ def cmd_catalog(args) -> int:
     return OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built on first use and shared by every later call.
+
+    ``parse_args`` leaves the parser unchanged and returns a fresh namespace
+    with the defaults applied, so one parser serves any number of ``main``
+    calls; building it took most of a short command's time.
+    """
     parser = argparse.ArgumentParser(
         prog="cdscover",
         description="Covering bounds, synthesis and verification for CDS instances.",

@@ -98,18 +98,6 @@ class FieldMatrix:
             return FieldMatrix(np.zeros((0, cols), dtype=np.int64), field)
         return FieldMatrix(np.asarray(rows, dtype=np.int64), field)
 
-    @staticmethod
-    def zeros(rows: int, cols: int, field: PrimeField) -> "FieldMatrix":
-        return FieldMatrix(np.zeros((rows, cols), dtype=np.int64), field)
-
-    @staticmethod
-    def identity(n: int, field: PrimeField) -> "FieldMatrix":
-        return FieldMatrix(np.eye(n, dtype=np.int64), field)
-
-    @staticmethod
-    def random(rows: int, cols: int, field: PrimeField, rng: np.random.Generator) -> "FieldMatrix":
-        return FieldMatrix(rng.integers(0, field.p, size=(rows, cols), dtype=np.int64), field)
-
     # -- views -------------------------------------------------------------
 
     @property
@@ -130,7 +118,7 @@ class FieldMatrix:
         return self._a
 
     def to_lists(self) -> list[list[int]]:
-        return [[int(x) for x in row] for row in self._a]
+        return self._a.tolist()
 
     def take_rows(self, idx: Iterable[int]) -> "FieldMatrix":
         return FieldMatrix(self._a[list(idx), :], self.field)

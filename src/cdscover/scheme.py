@@ -128,20 +128,32 @@ def parse_scheme(text: str) -> LinearScheme:
     return scheme
 
 
+def _matrix_json(m: FieldMatrix) -> str:
+    """A precoder as ``json.dumps(indent=2)`` lays it out at depth 3 of a scheme file."""
+    rows, cols = m.shape
+    row = "[\n          " + ",\n          ".join(["{}"] * cols) + "\n        ]" if cols else "[]"
+    layout = "[\n        " + ",\n        ".join([row] * rows) + "\n      ]" if rows else "[]"
+    return layout.format(*m.array.ravel().tolist())
+
+
 def serialize_scheme(scheme: LinearScheme) -> str:
-    nodes = {
-        node: {"F": f.to_lists(), "H": h.to_lists()}
+    """The scheme file: the bytes of ``json.dumps(obj, indent=2) + "\\n"``.
+
+    The file has a fixed shape of ints and int rows, so it is written
+    directly; the standard encoder's indented mode is pure Python and took
+    longer than synthesizing the scheme.
+    """
+    nodes = [
+        f'{json.dumps(node)}: {{\n      "F": {_matrix_json(f)},\n      "H": {_matrix_json(h)}\n    }}'
         for node, (f, h) in sorted(scheme.precoders.items(), key=lambda kv: node_key(kv[0]))
-    }
-    obj = {
-        "name": scheme.name,
-        "p": scheme.field.p,
-        "L": scheme.L,
-        "Lz": scheme.L_Z,
-        "N": scheme.N,
-        "nodes": nodes,
-    }
-    return json.dumps(obj, indent=2) + "\n"
+    ]
+    body = "{\n    " + ",\n    ".join(nodes) + "\n  }" if nodes else "{}"
+    # a name read from a file may be any JSON value, laid out one level in
+    name = json.dumps(scheme.name, indent=2).replace("\n", "\n  ")
+    return (
+        f'{{\n  "name": {name},\n  "p": {scheme.field.p},\n  "L": {scheme.L},\n'
+        f'  "Lz": {scheme.L_Z},\n  "N": {scheme.N},\n  "nodes": {body}\n}}\n'
+    )
 
 
 # -- linear verifier ------------------------------------------------------------

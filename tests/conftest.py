@@ -65,9 +65,21 @@ def tiny_oracle_instances():
     ]
 
 
+def zeros(rows: int, cols: int, field: PrimeField) -> FieldMatrix:
+    return FieldMatrix(np.zeros((rows, cols), dtype=np.int64), field)
+
+
+def identity(n: int, field: PrimeField) -> FieldMatrix:
+    return FieldMatrix(np.eye(n, dtype=np.int64), field)
+
+
+def random_matrix(rows: int, cols: int, field: PrimeField, rng: np.random.Generator) -> FieldMatrix:
+    return FieldMatrix(rng.integers(0, field.p, size=(rows, cols), dtype=np.int64), field)
+
+
 def random_full_rank_h(rng, field: PrimeField, n: int, l_z: int) -> FieldMatrix:
     while True:
-        h = FieldMatrix.random(n, l_z, field, rng)
+        h = random_matrix(n, l_z, field, rng)
         if cc.residue_rank(h.array, field.p) == n:
             return h
 
@@ -101,7 +113,7 @@ def small_scheme_corpus(min_size: int = 50):
             corpus.append((inst, found, f"search-{seed}"))
         elif kind == 1:
             precoders = {
-                node: (FieldMatrix.random(n, 1, field, rng), random_full_rank_h(rng, field, n, l_z))
+                node: (random_matrix(n, 1, field, rng), random_full_rank_h(rng, field, n, l_z))
                 for node in inst.nodes()
             }
             corpus.append(
@@ -126,7 +138,7 @@ def small_scheme_corpus(min_size: int = 50):
             if l_z < n:
                 continue
             eye = FieldMatrix(np.eye(n, l_z, dtype=np.int64), field)
-            precoders = {node: (FieldMatrix.zeros(n, 1, field), eye) for node in inst.nodes()}
+            precoders = {node: (zeros(n, 1, field), eye) for node in inst.nodes()}
             corpus.append(
                 (inst, cc.LinearScheme(field, 1, l_z, n, precoders, f"zero-{seed}"), f"zero-{seed}")
             )

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 import cdscover as cc
-from cdscover.cli import main
+from cdscover.cli import build_parser, main
 
 
 def _write_fixture(tmp_path, kind, name):
@@ -137,6 +137,42 @@ def test_usage_errors_exit_2(capsys):
     assert main(["bound", "missing-file.json"]) == 2
     for removed in ("--threads", "--force-exact", "--max-path-len"):
         assert main(["rho", "fig2", removed]) == 2
+
+
+def test_reused_parser_matches_lone_calls(tmp_path, capsys):
+    # each call in the sequence would see the one before it if options
+    # leaked between calls: --json, --budget or --seed sticking, or a
+    # usage error leaving state behind
+    inst = cc.catalog.builtin_instance("matching2")
+    found = cc.random_scheme_search(inst, p=3, L=1, N=2, L_Z=2, seed=0, budget=50)
+    scheme = tmp_path / "m2.json"
+    scheme.write_text(cc.serialize_scheme(found), encoding="utf-8")
+    search = ["search", "matching2", "--p", "3", "--L", "1", "--N", "2", "--Lz", "2", "--budget", "50"]
+    calls = [
+        ["rho"],
+        ["--json", "rho", "fig2"],
+        ["rho", "fig2"],
+        ["verify", "matching2", str(scheme), "--entropic", "--budget", "3"],
+        ["verify", "matching2", str(scheme), "--entropic"],
+        search + ["--seed", "1"],
+        search,
+    ]
+
+    def lone(argv):
+        build_parser.cache_clear()
+        return main(argv), capsys.readouterr()
+
+    expected = [lone(argv) for argv in calls]
+    assert [code for code, _ in expected] == [2, 0, 0, 1, 0, 0, 0]
+    assert expected[1][1].out != expected[2][1].out
+    assert expected[3][1].out != expected[4][1].out
+    assert expected[5][1].out != expected[6][1].out
+    build_parser.cache_clear()
+    parser = build_parser()
+    for argv, (code, captured) in zip(calls, expected):
+        assert main(argv) == code, argv
+        assert capsys.readouterr() == captured, argv
+    assert build_parser() is parser
 
 
 def test_verify_rejects_unknown_scheme_nodes(tmp_path, capsys):

@@ -15,6 +15,8 @@ from cdscover.linalg import (
     solve_right,
 )
 
+from conftest import identity, zeros
+
 
 def fm(rows, p):
     return FieldMatrix(rows, PrimeField(p))
@@ -36,11 +38,11 @@ def matrices(draw, max_dim=5, primes=(2, 3, 5, 7)):
 
 
 def test_rank_identity():
-    assert rank_rref(FieldMatrix.identity(3, PrimeField(2))).rank == 3
+    assert rank_rref(identity(3, PrimeField(2))).rank == 3
 
 
 def test_rank_zeros():
-    assert rank_rref(FieldMatrix.zeros(2, 4, PrimeField(3))).rank == 0
+    assert rank_rref(zeros(2, 4, PrimeField(3))).rank == 0
 
 
 def test_rank_dependent_rows():
@@ -95,7 +97,7 @@ def test_nullspace_matches_elementwise_construction(m):
 
 
 def test_intersection_identical_spaces():
-    a = FieldMatrix.identity(2, PrimeField(3))
+    a = identity(2, PrimeField(3))
     basis, pa, pb = rowspace_intersection(a, a)
     assert basis.rows == 2
 
@@ -209,6 +211,6 @@ def test_solve_right_and_invert():
     assert (a @ x) == b
     # the transform that reduces an invertible matrix is its inverse
     red, inv, _ = rref_with_transform(a)
-    assert red == FieldMatrix.identity(2, f) and (inv @ a) == red
+    assert red == identity(2, f) and (inv @ a) == red
     assert len(rref_with_transform(fm([[1, 2], [2, 4]], 7))[2]) == 1  # singular
     assert solve_right(fm([[1, 1], [1, 1]], 7), fm([[1], [0]], 7)) is None

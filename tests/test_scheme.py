@@ -10,9 +10,11 @@ import cdscover as cc
 from cdscover.fields import FieldMatrix, PrimeField
 from cdscover.graph import CdsInstance
 from cdscover.scheme import (
+    DEFAULT_ORACLE_BUDGET,
     LinearScheme,
     SchemeError,
     _pair_table,
+    entropic_oracle_all,
     entropic_oracle_edge,
     parse_scheme,
     rate,
@@ -20,6 +22,8 @@ from cdscover.scheme import (
     simulate,
     verify_linear,
 )
+
+from conftest import identity, random_full_rank_h, random_matrix, zeros
 
 
 def test_rate_values():
@@ -37,6 +41,35 @@ def test_scheme_roundtrip():
     s = cc.catalog.builtin_scheme("fig2-rate-2-5")
     again = parse_scheme(serialize_scheme(s))
     assert again.L == s.L and again.precoders == s.precoders
+
+
+@st.composite
+def schemes(draw):
+    p = draw(st.sampled_from((2, 3, 257)))
+    L, L_Z, N = draw(st.integers(0, 3)), draw(st.integers(0, 3)), draw(st.integers(1, 3))
+    field = PrimeField(p)
+    nodes = draw(st.lists(st.tuples(st.sampled_from("AB"), st.integers(1, 12)), max_size=4, unique=True))
+
+    def matrix(cols):
+        rows = st.lists(st.integers(0, p - 1), min_size=cols, max_size=cols)
+        return FieldMatrix.from_rows(draw(st.lists(rows, min_size=N, max_size=N)), field, cols=cols)
+
+    name = draw(st.text(st.sampled_from('a"\\\n\x00é字 😀'), max_size=8) | st.text(max_size=6))
+    precoders = {f"{side}{i}": (matrix(L), matrix(L_Z)) for side, i in nodes}
+    return LinearScheme(field, L, L_Z, N, precoders, name)
+
+
+@given(schemes())
+@example(LinearScheme(PrimeField(2), 2, 1, 0, {"B1": (zeros(0, 2, PrimeField(2)), zeros(0, 1, PrimeField(2)))}))
+@example(LinearScheme(PrimeField(3), 1, 1, 1, {"A1": (identity(1, PrimeField(3)),) * 2}, ["n", {"k": [1]}]))
+@settings(max_examples=150, deadline=None)
+def test_serialize_scheme_is_json_dumps_indent_2(s):
+    order = sorted(s.precoders, key=lambda node: (node[0], int(node[1:])))
+    nodes = {node: {"F": s.f_of(node).array.tolist(), "H": s.h_of(node).array.tolist()} for node in order}
+    obj = {"name": s.name, "p": s.field.p, "L": s.L, "Lz": s.L_Z, "N": s.N, "nodes": nodes}
+    text = serialize_scheme(s)
+    assert text == json.dumps(obj, indent=2) + "\n"
+    assert parse_scheme(text) == s
 
 
 def test_parse_scheme_errors():
@@ -117,8 +150,8 @@ def test_verify_zero_secret_scheme():
     inst = cc.catalog.builtin_instance("fig2")
     f = PrimeField(3)
     n = 5
-    eye = FieldMatrix.identity(n, f)
-    precoders = {node: (FieldMatrix.zeros(n, 4, f), eye) for node in inst.nodes()}
+    eye = identity(n, f)
+    precoders = {node: (zeros(n, 4, f), eye) for node in inst.nodes()}
     scheme = LinearScheme(f, 4, n, n, precoders)
     report = verify_linear(inst, scheme)
     by_kind = {}
@@ -132,7 +165,7 @@ def test_verify_flags_rank_deficient_noise():
     inst = CdsInstance("one", 1, 1, frozenset(), frozenset({(1, 1)}))
     f = PrimeField(2)
     h = FieldMatrix([[1, 0], [1, 0]], f)  # rank 1 < N=2
-    precoders = {"A1": (FieldMatrix.zeros(2, 1, f), h), "B1": (FieldMatrix.zeros(2, 1, f), h)}
+    precoders = {"A1": (zeros(2, 1, f), h), "B1": (zeros(2, 1, f), h)}
     report = verify_linear(inst, LinearScheme(f, 1, 2, 2, precoders))
     assert not report.overall
     assert {r.subject for r in report.failures()} == {"A1", "B1"}
@@ -235,8 +268,8 @@ def test_oracle_wide_signals_keep_residues_above_255():
     # the secrets 0 and 256 give the signals 0 and 256, which must stay apart
     inst = _two_node_instance("qualified")
     f = PrimeField(257)
-    a = (FieldMatrix([[1], [0], [0], [0]], f), FieldMatrix.zeros(4, 1, f))
-    b = (FieldMatrix.zeros(4, 1, f), FieldMatrix.zeros(4, 1, f))
+    a = (FieldMatrix([[1], [0], [0], [0]], f), zeros(4, 1, f))
+    b = (zeros(4, 1, f), zeros(4, 1, f))
     scheme = LinearScheme(f, 1, 1, 4, {"A1": a, "B1": b})
     res = entropic_oracle_edge(inst, scheme, (1, 1))
     assert res.passed and res.states == 257
@@ -338,6 +371,59 @@ def test_pair_table_keys_never_wrap(width):
     assert bounds.tolist() == [i for i in range(len(got) + 1) if i in (0, len(got)) or got[i][0] != got[i - 1][0]]
 
 
+@st.composite
+def oracle_schemes(draw):
+    """(instance, scheme) on at most 3x3 nodes with full-rank noise precoders.
+
+    Each node takes one of a_count + b_count precoder pairs, so some edges
+    join nodes that share a pair. Secret precoders are random, zero, or
+    masked by the noise (F = H @ mix), so that both kinds of edge pass as
+    well as fail.
+    """
+    p = draw(st.sampled_from((2, 3, 5)))
+    L, N = draw(st.integers(1, 2)), draw(st.integers(1, 3))
+    L_Z = draw(st.integers(N, 3))
+    a_count, b_count = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    pairs = [(x, y) for x in range(1, a_count + 1) for y in range(1, b_count + 1)]
+    kinds = draw(st.lists(st.sampled_from(("qualified", "unqualified", None)), min_size=len(pairs), max_size=len(pairs)))
+    inst = CdsInstance(
+        "drawn",
+        a_count,
+        b_count,
+        frozenset(e for e, k in zip(pairs, kinds) if k == "qualified"),
+        frozenset(e for e, k in zip(pairs, kinds) if k == "unqualified"),
+    )
+    field = PrimeField(p)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    mix = rng.integers(0, p, size=(L_Z, L))
+    nodes = inst.nodes()
+    pool = []
+    for secret in draw(st.lists(st.sampled_from(("random", "zero", "masked")), min_size=len(nodes), max_size=len(nodes))):
+        h = random_full_rank_h(rng, field, N, L_Z)
+        if secret == "random":
+            f = random_matrix(N, L, field, rng)
+        elif secret == "zero":
+            f = zeros(N, L, field)
+        else:
+            f = FieldMatrix(h.array @ mix, field)
+        pool.append((f, h))
+    picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=len(nodes), max_size=len(nodes)))
+    return inst, LinearScheme(field, L, L_Z, N, {node: pool[i] for node, i in zip(nodes, picks)})
+
+
+@given(oracle_schemes())
+@settings(max_examples=60, deadline=None)
+def test_linear_verifier_matches_oracle_per_edge(drawn):
+    inst, scheme = drawn
+    assert scheme.field.p ** (scheme.L + scheme.L_Z) <= DEFAULT_ORACLE_BUDGET
+    linear = {
+        r.subject: r.passed for r in verify_linear(inst, scheme).records if r.kind in ("qualified", "unqualified")
+    }
+    oracle = entropic_oracle_all(inst, scheme)
+    assert all(r.status in ("pass", "fail") for r in oracle)
+    assert {f"A{r.edge[0]}-B{r.edge[1]}": r.passed for r in oracle} == linear
+
+
 def test_oracle_all_checks_the_scheme_once(monkeypatch):
     inst = cc.catalog.builtin_instance("fig2")
     scheme = cc.catalog.builtin_scheme("fig2-rate-2-5")
@@ -361,7 +447,7 @@ def test_oracle_counts_sparsely():
     noise_b = np.zeros((17, 2), dtype=np.int64)
     noise_b[16] = [1, 0]
     a = (FieldMatrix(sec, f), FieldMatrix(noise_a, f))
-    b = (FieldMatrix.zeros(17, 16, f), FieldMatrix(noise_b, f))
+    b = (zeros(17, 16, f), FieldMatrix(noise_b, f))
     scheme = LinearScheme(f, 16, 2, 17, {"A1": a, "B1": b})
     res = entropic_oracle_edge(_two_node_instance("qualified"), scheme, (1, 1))
     assert res.passed and res.states == 2**18
