@@ -11,9 +11,8 @@ synthesizer.
 from __future__ import annotations
 
 import json
-from collections import deque
 from dataclasses import dataclass
-from typing import Collection, Iterator, Sequence
+from typing import Collection, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -82,9 +81,6 @@ class CdsInstance:
     def qualified_node_edges(self) -> list[Edge]:
         return sorted((edge_nodes(p) for p in self.qualified), key=lambda e: (node_key(e[0]), node_key(e[1])))
 
-    def unqualified_node_edges(self) -> list[Edge]:
-        return sorted((edge_nodes(p) for p in self.unqualified), key=lambda e: (node_key(e[0]), node_key(e[1])))
-
     def edges_with_kind(self) -> Iterator[tuple[tuple[int, int], str]]:
         for p in sorted(self.qualified):
             yield p, "qualified"
@@ -92,22 +88,35 @@ class CdsInstance:
             yield p, "unqualified"
 
     def qualified_adjacency(self) -> dict[str, set[str]]:
-        adj: dict[str, set[str]] = {n: set() for n in self.nodes()}
-        for x, y in self.qualified:
-            adj[a_node(x)].add(b_node(y))
-            adj[b_node(y)].add(a_node(x))
-        return adj
+        return _adjacency(self.nodes(), map(edge_nodes, self.qualified))
 
     def unqualified_adjacency(self) -> dict[str, set[str]]:
-        adj: dict[str, set[str]] = {n: set() for n in self.nodes()}
-        for x, y in self.unqualified:
-            adj[a_node(x)].add(b_node(y))
-            adj[b_node(y)].add(a_node(x))
-        return adj
+        return _adjacency(self.nodes(), map(edge_nodes, self.unqualified))
 
     def nodes_without_unqualified(self) -> list[str]:
         adj = self.unqualified_adjacency()
         return [n for n in self.nodes() if not adj[n]]
+
+
+def _adjacency(nodes: Iterable[str], edges: Iterable[Edge]) -> dict[str, set[str]]:
+    adj: dict[str, set[str]] = {n: set() for n in nodes}
+    for a, b in edges:
+        adj[a].add(b)
+        adj[b].add(a)
+    return adj
+
+
+def _reach(adj: dict[str, set[str]], start: str, within: Collection[str]) -> set[str]:
+    """The nodes joined to ``start`` by edges of ``adj`` whose ends lie in
+    ``within`` (``start`` included)."""
+    seen = {start}
+    stack = [start]
+    while stack:
+        for nb in adj[stack.pop()]:
+            if nb in within and nb not in seen:
+                seen.add(nb)
+                stack.append(nb)
+    return seen
 
 
 # -- parsing and serialization ------------------------------------------------
@@ -177,89 +186,45 @@ class QualifiedComponent:
     kind: str  # "path" | "cycle" | "other"
     traversal: tuple[str, ...] | None
 
-    def __contains__(self, node: str) -> bool:
-        return node in self.nodes
-
 
 def qualified_components(inst: CdsInstance) -> list[QualifiedComponent]:
     """Partition into maximal qualified-connected components with shapes.
 
     A component is a path or cycle iff every node has qualified degree <= 2
-    and the edges form a single path/cycle; isolated nodes count as
-    one-node paths. Traversals are deterministic: paths start at the
-    lexicographically smaller endpoint; cycles start at the lowest-indexed
-    A-node and move toward its lower-indexed qualified neighbor.
+    (being connected, it is then one path or one cycle); isolated nodes
+    count as one-node paths. Components come in the order of their least
+    node. Traversals are deterministic: paths start at the lesser endpoint;
+    cycles start at the lowest-indexed A-node and move toward its
+    lower-indexed qualified neighbor.
     """
     adj = inst.qualified_adjacency()
     seen: set[str] = set()
     comps: list[QualifiedComponent] = []
-    for start in sorted(inst.nodes(), key=node_key):
+    for start in inst.nodes():  # in node_key order
         if start in seen:
             continue
-        comp = []
-        queue = deque([start])
-        seen.add(start)
-        while queue:
-            n = queue.popleft()
-            comp.append(n)
-            for m in sorted(adj[n], key=node_key):
-                if m not in seen:
-                    seen.add(m)
-                    queue.append(m)
-        comp_sorted = tuple(sorted(comp, key=node_key))
-        n_edges = sum(len(adj[n]) for n in comp) // 2
-        degrees = [len(adj[n]) for n in comp]
-        if max(degrees, default=0) <= 2:
-            if n_edges == len(comp) - 1:
-                comps.append(QualifiedComponent(comp_sorted, "path", _path_traversal(comp_sorted, adj)))
-                continue
-            if n_edges == len(comp) and all(d == 2 for d in degrees):
-                comps.append(QualifiedComponent(comp_sorted, "cycle", _cycle_traversal(comp_sorted, adj)))
-                continue
-        comps.append(QualifiedComponent(comp_sorted, "other", None))
-    comps.sort(key=lambda c: node_key(c.nodes[0]))
+        reach = _reach(adj, start, adj)
+        seen |= reach
+        nodes = tuple(sorted(reach, key=node_key))
+        if any(len(adj[n]) > 2 for n in nodes):
+            comps.append(QualifiedComponent(nodes, "other", None))
+            continue
+        ends = [n for n in nodes if len(adj[n]) < 2]
+        comps.append(QualifiedComponent(nodes, "path" if ends else "cycle", _walk(adj, (ends or nodes)[0])))
     return comps
 
 
-def _path_traversal(nodes: tuple[str, ...], adj: dict[str, set[str]]) -> tuple[str, ...]:
-    if len(nodes) == 1:
-        return nodes
-    endpoints = sorted((n for n in nodes if len(adj[n]) == 1), key=node_key)
-    cur = endpoints[0]
-    order = [cur]
-    prev = None
-    while len(order) < len(nodes):
-        nxt = [m for m in adj[cur] if m != prev]
-        prev, cur = cur, nxt[0]
-        order.append(cur)
-    return tuple(order)
-
-
-def _cycle_traversal(nodes: tuple[str, ...], adj: dict[str, set[str]]) -> tuple[str, ...]:
-    start = min((n for n in nodes if n[0] == "A"), key=node_key)
-    first = min(adj[start], key=node_key)
-    order = [start, first]
-    prev, cur = start, first
-    while len(order) < len(nodes):
-        nxt = [m for m in adj[cur] if m != prev]
-        prev, cur = cur, nxt[0]
-        order.append(cur)
+def _walk(adj: dict[str, set[str]], start: str) -> tuple[str, ...]:
+    """A path or cycle from ``start``, each step to the least unvisited neighbour."""
+    order = [start]
+    seen = {start}
+    while nxt := [m for m in adj[order[-1]] if m not in seen]:
+        order.append(min(nxt, key=node_key))
+        seen.add(order[-1])
     return tuple(order)
 
 
 # -- unqualified classes and candidate paths -----------------------------------
-
-
-def _bfs_dist(adj: dict[str, set[str]], sources: Sequence[str]) -> dict[str, int]:
-    dist = {s: 0 for s in sources}
-    queue = deque(sources)
-    while queue:
-        n = queue.popleft()
-        for m in adj[n]:
-            if m not in dist:
-                dist[m] = dist[n] + 1
-                queue.append(m)
-    return dist
 
 
 def unqualified_classes(
@@ -274,27 +239,17 @@ def unqualified_classes(
     nodes = set(nodes)
     seen: set[str] = set()
     groups = []
-    for start in nodes:
-        if start in seen:
-            continue
-        group = []
-        stack = [start]
-        seen.add(start)
-        while stack:
-            cur = stack.pop()
-            group.append(cur)
-            for nb in uadj[cur] & nodes:
-                if nb not in seen:
-                    seen.add(nb)
-                    stack.append(nb)
-        groups.append(tuple(sorted(group, key=node_key)))
-    groups.sort(key=lambda g: node_key(g[0]))
+    for start in sorted(nodes, key=node_key):
+        if start not in seen:
+            group = _reach(uadj, start, nodes)
+            seen |= group
+            groups.append(tuple(sorted(group, key=node_key)))
     return tuple(groups)
 
 
 def _simple_paths(adj: dict[str, set[str]], start: str, goal: str) -> Iterator[tuple[str, ...]]:
     """All simple paths start..goal, in node_key-lexicographic order."""
-    reach = _bfs_dist(adj, [goal])
+    reach = _reach(adj, goal, adj)
     if start not in reach:
         return
     path = [start]
@@ -354,7 +309,7 @@ class CoverWitness:
     def violations(self, inst: CdsInstance) -> list[str]:
         """Re-check every invariant independently; empty list means valid."""
         problems = _pair_problems(inst, self.edge, self.path)
-        if not self.cover <= set(inst.qualified_node_edges()):
+        if not all(_is_edge(inst.qualified, *e) for e in self.cover):
             problems.append("cover contains non-qualified edges")
         if self.edge not in self.cover:
             problems.append("cover does not contain the internal edge")
@@ -368,13 +323,13 @@ class CoverWitness:
 
 
 def _edges_connected(edges: frozenset[Edge]) -> bool:
-    nodes = {n for e in edges for n in e}
-    adj: dict[str, set[str]] = {n: set() for n in nodes}
-    for a, b in edges:
-        adj[a].add(b)
-        adj[b].add(a)
-    start = next(iter(nodes))
-    return len(_bfs_dist(adj, [start])) == len(nodes)
+    adj = _adjacency((n for e in edges for n in e), edges)
+    return len(_reach(adj, next(iter(adj)), adj)) == len(adj)
+
+
+def _is_edge(pairs: frozenset[tuple[int, int]], u: str, v: str) -> bool:
+    """Whether u-v, A-node first, is one of the (x, y) ``pairs``."""
+    return u[0] == "A" and v[0] == "B" and (int(u[1:]), int(v[1:])) in pairs
 
 
 def _pair_problems(inst: CdsInstance, e: Edge, path: Sequence[str]) -> list[str]:
@@ -382,15 +337,14 @@ def _pair_problems(inst: CdsInstance, e: Edge, path: Sequence[str]) -> list[str]
     distinct nodes through both of e's endpoints, and each step of P an
     unqualified edge. An empty list means the pair is valid."""
     problems = []
-    if e not in inst.qualified_node_edges():
+    if not _is_edge(inst.qualified, *e):
         problems.append(f"edge {e} is not a qualified edge of {inst.name!r}")
     if e[0] not in path or e[1] not in path:
         problems.append("edge endpoints not on the path")
     if len(set(path)) != len(path):
         problems.append("path nodes are not distinct")
-    uedges = {frozenset(x) for x in inst.unqualified_node_edges()}
     for a, b in zip(path, path[1:]):
-        if frozenset((a, b)) not in uedges:
+        if not _is_edge(inst.unqualified, *sorted((a, b))):
             problems.append(f"path step {a}-{b} is not an unqualified edge")
     return problems
 
@@ -444,7 +398,8 @@ def min_connected_edge_cover(inst: CdsInstance, e: Edge, path: Sequence[str]) ->
     if problems:
         raise InstanceError(problems[0])
     target = set(path)
-    if not target <= set(_bfs_dist(inst.qualified_adjacency(), [e[0]])):
+    qadj = inst.qualified_adjacency()
+    if not target <= _reach(qadj, e[0], qadj):
         return None
     for level in _connected_edge_sets(_incident_edges(inst), e):
         covers = [tuple(sorted(edges)) for edges, nodes in level if target <= nodes]
@@ -463,28 +418,13 @@ class RhoResult:
         return self.value is None
 
 
-def _joined(uadj: dict[str, set[str]], nodes: frozenset[str], u: str, v: str) -> bool:
-    """Whether unqualified edges inside ``nodes`` (which holds v) join u to v."""
-    seen = {u}
-    stack = [u]
-    while stack:
-        for nb in uadj[stack.pop()]:
-            if nb == v:
-                return True
-            if nb in nodes and nb not in seen:
-                seen.add(nb)
-                stack.append(nb)
-    return False
-
-
 def _least_path(uadj: dict[str, set[str]], nodes: frozenset[str], u: str, v: str) -> tuple[str, ...]:
     """The node_key-lexicographically least simple unqualified u-v path inside
     ``nodes``: each step takes the least neighbour from which v can still be
     reached without revisiting the path."""
     path = [u]
     while path[-1] != v:
-        rest = nodes - set(path)
-        reach = next(group for group in unqualified_classes(rest, uadj) if v in group)
+        reach = _reach(uadj, v, nodes - set(path))
         path.append(min((n for n in uadj[path[-1]] if n in reach), key=node_key))
     return tuple(path)
 
@@ -523,7 +463,7 @@ def rho(inst: CdsInstance) -> RhoResult:
         # a search accepts its whole component at the latest, since only
         # edges whose endpoints it joins were kept, so next() never runs out
         for e, levels in searches:
-            joined = [(edges, nodes) for edges, nodes in next(levels) if _joined(uadj, nodes, *e)]
+            joined = [(edges, nodes) for edges, nodes in next(levels) if e[1] in _reach(uadj, e[0], nodes)]
             if joined:
                 paths = (_least_path(uadj, nodes, *e) for _, nodes in joined)
                 path = min(paths, key=lambda p: [node_key(n) for n in p])
@@ -555,38 +495,19 @@ def random_instance(
     if not 0.0 <= unqualified_density <= 1.0:
         raise InstanceError("unqualified_density must lie in [0, 1]")
     rng = np.random.default_rng(seed)
-    a_order = [int(v) + 1 for v in rng.permutation(a_count)]
-    b_order = [int(v) + 1 for v in rng.permutation(b_count)]
-
-    if shape == "path":
-        if abs(a_count - b_count) > 1:
-            raise InstanceError("a path must alternate sides: |a_count - b_count| <= 1")
-        if a_count > b_count:
-            start_a = True
-        elif b_count > a_count:
-            start_a = False
-        else:
-            start_a = bool(rng.integers(0, 2))
-        order: list[str] = []
-        ai, bi = 0, 0
-        take_a = start_a
-        while ai < a_count or bi < b_count:
-            if take_a and ai < a_count:
-                order.append(a_node(a_order[ai]))
-                ai += 1
-            elif not take_a and bi < b_count:
-                order.append(b_node(b_order[bi]))
-                bi += 1
-            take_a = not take_a
-        qualified = {_pair(u, v) for u, v in zip(order, order[1:])}
-    else:
-        if a_count != b_count or a_count < 2:
-            raise InstanceError("a qualified cycle needs a_count == b_count >= 2")
-        order = []
-        for x, y in zip(a_order, b_order):
-            order.append(a_node(x))
-            order.append(b_node(y))
-        qualified = {_pair(u, v) for u, v in zip(order, order[1:])}
+    sides = [[a_node(int(v) + 1) for v in rng.permutation(a_count)]]
+    sides.append([b_node(int(v) + 1) for v in rng.permutation(b_count)])
+    if shape == "path" and abs(a_count - b_count) > 1:
+        raise InstanceError("a path must alternate sides: |a_count - b_count| <= 1")
+    if shape == "cycle" and (a_count != b_count or a_count < 2):
+        raise InstanceError("a qualified cycle needs a_count == b_count >= 2")
+    # a path starts on its larger side, or on a drawn side when neither is larger
+    if b_count > a_count or (shape == "path" and a_count == b_count and not rng.integers(0, 2)):
+        sides.reverse()
+    order = sides[0] + sides[1]
+    order[::2], order[1::2] = sides  # the two sides interleaved
+    qualified = {_pair(u, v) for u, v in zip(order, order[1:])}
+    if shape == "cycle":
         qualified.add(_pair(order[-1], order[0]))
 
     non_qualified = [

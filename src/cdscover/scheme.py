@@ -111,6 +111,9 @@ def parse_scheme(text: str) -> LinearScheme:
         fld = PrimeField(obj["p"])
     except FieldError as e:
         raise SchemeError(str(e)) from e
+    name = obj.get("name", "")
+    if not isinstance(name, str):
+        raise SchemeError("field 'name' must be a string")
     nodes = obj.get("nodes")
     if not isinstance(nodes, dict):
         raise SchemeError("field 'nodes' must be an object mapping node ids to precoders")
@@ -121,9 +124,7 @@ def parse_scheme(text: str) -> LinearScheme:
         f = FieldMatrix.from_rows(_matrix_entries(entry["F"], f"F_{node}", fld.p), fld, cols=L)
         h = FieldMatrix.from_rows(_matrix_entries(entry["H"], f"H_{node}", fld.p), fld, cols=L_Z)
         precoders[node] = (f, h)
-    scheme = LinearScheme(
-        field=fld, L=L, L_Z=L_Z, N=N, precoders=precoders, name=obj.get("name", "")
-    )
+    scheme = LinearScheme(field=fld, L=L, L_Z=L_Z, N=N, precoders=precoders, name=name)
     scheme.check_shapes()
     return scheme
 
@@ -148,10 +149,8 @@ def serialize_scheme(scheme: LinearScheme) -> str:
         for node, (f, h) in sorted(scheme.precoders.items(), key=lambda kv: node_key(kv[0]))
     ]
     body = "{\n    " + ",\n    ".join(nodes) + "\n  }" if nodes else "{}"
-    # a name read from a file may be any JSON value, laid out one level in
-    name = json.dumps(scheme.name, indent=2).replace("\n", "\n  ")
     return (
-        f'{{\n  "name": {name},\n  "p": {scheme.field.p},\n  "L": {scheme.L},\n'
+        f'{{\n  "name": {json.dumps(scheme.name)},\n  "p": {scheme.field.p},\n  "L": {scheme.L},\n'
         f'  "Lz": {scheme.L_Z},\n  "N": {scheme.N},\n  "nodes": {body}\n}}\n'
     )
 

@@ -185,6 +185,15 @@ def test_verify_rejects_unknown_scheme_nodes(tmp_path, capsys):
     assert "A9" in err and "Q" in err and "not nodes of 'fig2'" in err
 
 
+def test_verify_rejects_non_string_scheme_name(tmp_path, capsys):
+    obj = json.loads(cc.catalog.scheme_text("fig2-rate-2-5"))
+    obj["name"] = ["n", {"k": [1]}]
+    path = tmp_path / "named.json"
+    path.write_text(json.dumps(obj), encoding="utf-8")
+    assert main(["verify", "fig2", str(path)]) == 2
+    assert "field 'name' must be a string" in capsys.readouterr().err
+
+
 def test_moduli_past_int64_products_exit_2(tmp_path, capsys):
     # at this prime, [[p-1]*4] @ [[p-1]]*4 wraps int64 and reads 581896576 mod p, not 4
     p = 3037000493

@@ -12,13 +12,16 @@ from cdscover.graph import (
     CoverWitness,
     InstanceError,
     _augment,
+    edge_nodes,
     internal_qualified_edge_candidates,
     min_connected_edge_cover,
+    node_key,
     parse_instance,
     qualified_components,
     random_instance,
     rho,
     serialize_instance,
+    unqualified_classes,
 )
 
 from conftest import random_corpus
@@ -157,10 +160,24 @@ def test_min_cover_validates_pair(catalog_instances):
         (("A1", "B1"), ("A1", "B2", "A3"), "edge endpoints not on the path"),
         (("A1", "B1"), ("A1", "B2", "A3", "B2", "A3", "B1"), "path nodes are not distinct"),
         (("A1", "B1"), ("A1", "B1"), "path step A1-B1 is not an unqualified edge"),
+        # (1, 1) is qualified, but the edge must be given A-node first
+        (("B1", "A1"), ("A1", "B2", "A3", "B1"), "edge ('B1', 'A1') is not a qualified edge of 'fig2'"),
+        # A3 and A1 are both A-nodes, though (3, 1) is an unqualified pair
+        (("A1", "B1"), ("B1", "A3", "A1", "B2"), "path step A3-A1 is not an unqualified edge"),
+        (("A3", "B3"), ("A1", "B2", "A3", "B3"), "path step A3-B3 is not an unqualified edge"),
         # all but the repeated node at once: the cover search raises the first
         (("A1", "B2"), ("A1", "B1"), "edge ('A1', 'B2') is not a qualified edge of 'fig2'"),
     ],
-    ids=["not-qualified", "endpoint-off-path", "repeated-node", "qualified-step", "several"],
+    ids=[
+        "not-qualified",
+        "endpoint-off-path",
+        "repeated-node",
+        "qualified-step",
+        "swapped-edge",
+        "same-side-step",
+        "qualified-last-step",
+        "several",
+    ],
 )
 def test_pair_checks_agree(catalog_instances, edge, path, problem):
     # the cover search and the witness checker report the same problem
@@ -358,6 +375,42 @@ def _small_instance(draw):
 def test_rho_matches_reference_on_random_instances(inst):
     assert len(inst.qualified) <= 12
     _assert_rho_matches_reference(inst)
+
+
+def _by_least_node(groups):
+    groups = [tuple(sorted(g, key=node_key)) for g in groups]
+    return sorted(groups, key=lambda g: node_key(g[0]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_instances())
+def test_components_and_classes_match_networkx(inst):
+    nx = pytest.importorskip("networkx")
+    qgraph, ugraph = nx.Graph(), nx.Graph()
+    qgraph.add_nodes_from(inst.nodes())
+    ugraph.add_nodes_from(inst.nodes())
+    qgraph.add_edges_from(map(edge_nodes, inst.qualified))
+    ugraph.add_edges_from(map(edge_nodes, inst.unqualified))
+    comps = qualified_components(inst)
+    assert [c.nodes for c in comps] == _by_least_node(nx.connected_components(qgraph))
+    uadj = inst.unqualified_adjacency()
+    for c in comps:
+        want = _by_least_node(nx.connected_components(ugraph.subgraph(c.nodes)))
+        assert unqualified_classes(c.nodes, uadj) == tuple(want)
+        degrees = [qgraph.degree(n) for n in c.nodes]
+        if max(degrees) > 2:
+            assert (c.kind, c.traversal) == ("other", None)
+            continue
+        t = c.traversal
+        assert c.kind == ("cycle" if min(degrees) == 2 else "path")
+        assert sorted(t, key=node_key) == list(c.nodes)
+        steps = list(zip(t, t[1:]))
+        if c.kind == "cycle":
+            steps.append((t[-1], t[0]))
+            assert t[0] == c.nodes[0] and t[1] == min(qgraph[t[0]], key=node_key)
+        else:
+            assert t[0] == min((n for n in c.nodes if qgraph.degree(n) < 2), key=node_key)
+        assert all(qgraph.has_edge(u, v) for u, v in steps)
 
 
 def test_random_instance_deterministic():

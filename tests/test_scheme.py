@@ -61,7 +61,6 @@ def schemes(draw):
 
 @given(schemes())
 @example(LinearScheme(PrimeField(2), 2, 1, 0, {"B1": (zeros(0, 2, PrimeField(2)), zeros(0, 1, PrimeField(2)))}))
-@example(LinearScheme(PrimeField(3), 1, 1, 1, {"A1": (identity(1, PrimeField(3)),) * 2}, ["n", {"k": [1]}]))
 @settings(max_examples=150, deadline=None)
 def test_serialize_scheme_is_json_dumps_indent_2(s):
     order = sorted(s.precoders, key=lambda node: (node[0], int(node[1:])))
@@ -87,6 +86,9 @@ def test_parse_scheme_errors():
                 {"p": 3, "L": 1, "Lz": 1, "N": 1, "nodes": {"A1": {"F": [[5]], "H": [[0]]}}}
             )
         )
+    for name in (["n", {"k": [1]}], 7, None):
+        with pytest.raises(SchemeError, match="field 'name' must be a string"):
+            parse_scheme(json.dumps({"name": name, "p": 3, "L": 1, "Lz": 1, "N": 1, "nodes": {}}))
 
 
 def test_field_size_guard_keeps_products_exact():
