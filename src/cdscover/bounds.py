@@ -20,7 +20,7 @@ import numpy as np
 from .fields import FieldMatrix, PrimeField
 from .graph import CdsInstance, CoverWitness, a_node, b_node, qualified_components, rho
 from .linalg import nullspace, residue_rank, rowspace_intersection, solve_right
-from .scheme import LinearScheme, check_field_size, rate, verify_linear
+from .scheme import LinearScheme, check_field_size, verify_linear
 
 
 def linear_converse_bound(inst: CdsInstance) -> tuple[Fraction, CoverWitness | None]:
@@ -38,110 +38,73 @@ def linear_converse_bound(inst: CdsInstance) -> tuple[Fraction, CoverWitness | N
 # -- isomorphism ------------------------------------------------------------------
 
 
-def _transpose(inst: CdsInstance) -> CdsInstance:
-    return CdsInstance(
-        name=inst.name + "-T",
-        a_count=inst.b_count,
-        b_count=inst.a_count,
-        qualified=frozenset((y, x) for x, y in inst.qualified),
-        unqualified=frozenset((y, x) for x, y in inst.unqualified),
-    )
-
-
 def color_isomorphic(first: CdsInstance, second: CdsInstance) -> bool:
     """Isomorphism over relabelings that preserve edge colors.
 
     Tries side-preserving relabelings and, when the node counts permit,
-    side-swapping ones.
+    side-swapping ones: ``second`` with its A and B nodes renamed.
     """
-    if _iso_side_preserving(first, second):
-        return True
-    if first.a_count == second.b_count and first.b_count == second.a_count:
-        return _iso_side_preserving(first, _transpose(second))
-    return False
-
-
-def _signature(inst: CdsInstance):
-    qdeg_a = {x: 0 for x in range(1, inst.a_count + 1)}
-    udeg_a = {x: 0 for x in range(1, inst.a_count + 1)}
-    qdeg_b = {y: 0 for y in range(1, inst.b_count + 1)}
-    udeg_b = {y: 0 for y in range(1, inst.b_count + 1)}
-    for x, y in inst.qualified:
-        qdeg_a[x] += 1
-        qdeg_b[y] += 1
-    for x, y in inst.unqualified:
-        udeg_a[x] += 1
-        udeg_b[y] += 1
-    sig_a = {x: (qdeg_a[x], udeg_a[x]) for x in qdeg_a}
-    sig_b = {y: (qdeg_b[y], udeg_b[y]) for y in qdeg_b}
-    return sig_a, sig_b
-
-
-def _iso_side_preserving(g1: CdsInstance, g2: CdsInstance) -> bool:
-    if g1.a_count != g2.a_count or g1.b_count != g2.b_count:
+    if (len(first.qualified), len(first.unqualified)) != (len(second.qualified), len(second.unqualified)):
         return False
-    if len(g1.qualified) != len(g2.qualified) or len(g1.unqualified) != len(g2.unqualified):
+    kept = (first.a_count, first.b_count) == (second.a_count, second.b_count)
+    swapped = (first.a_count, first.b_count) == (second.b_count, second.a_count)
+    if not (kept or swapped):
         return False
-    sig1_a, sig1_b = _signature(g1)
-    sig2_a, sig2_b = _signature(g2)
-    if sorted(sig1_a.values()) != sorted(sig2_a.values()):
+    colour = _colours(first)
+    return (kept and _map_nodes(colour, _colours(second))) or (
+        swapped and _map_nodes(colour, _colours(second, swap=True))
+    )
+
+
+def _colours(inst: CdsInstance, swap: bool = False) -> dict[tuple, dict[tuple, str]]:
+    """Each node's neighbours with the colour of the edge to them, so that a
+    pair's colour can be looked up in either order. Nodes are (side, index);
+    ``swap`` renames the A nodes B and the B nodes A."""
+    a, b = ("B", "A") if swap else ("A", "B")
+    colour: dict[tuple, dict[tuple, str]] = {}
+    for edges, c in ((inst.qualified, "q"), (inst.unqualified, "u")):
+        for x, y in edges:
+            colour.setdefault((a, x), {})[b, y] = c
+            colour.setdefault((b, y), {})[a, x] = c
+    return colour
+
+
+def _map_nodes(colour1: dict[tuple, dict[tuple, str]], colour2: dict[tuple, dict[tuple, str]]) -> bool:
+    """Whether some bijection between the nodes with edges keeps every node
+    pair's colour. A node's images are the unused nodes of equal signature
+    (side, qualified degree, unqualified degree); nodes without edges match
+    once the side sizes agree."""
+    sig1, sig2 = _signatures(colour1), _signatures(colour2)
+    if sorted(sig1.values()) != sorted(sig2.values()):
         return False
-    if sorted(sig1_b.values()) != sorted(sig2_b.values()):
-        return False
+    pool: dict[tuple, list[tuple]] = {}
+    for n in sorted(sig2):
+        pool.setdefault(sig2[n], []).append(n)
+    order = sorted(sig1, key=lambda n: (sig1[n], n), reverse=True)
+    image: dict[tuple, tuple] = {}
 
-    a_nodes = sorted(sig1_a, key=lambda x: (sig1_a[x], x), reverse=True)
-    b_nodes = sorted(sig1_b, key=lambda y: (sig1_b[y], y), reverse=True)
-    order = [("A", x) for x in a_nodes] + [("B", y) for y in b_nodes]
-    map_a: dict[int, int] = {}
-    map_b: dict[int, int] = {}
-    used_a: set[int] = set()
-    used_b: set[int] = set()
-
-    def consistent(side: str, v: int, img: int) -> bool:
-        if side == "A":
-            for y, iy in map_b.items():
-                if ((v, y) in g1.qualified) != ((img, iy) in g2.qualified):
-                    return False
-                if ((v, y) in g1.unqualified) != ((img, iy) in g2.unqualified):
-                    return False
-        else:
-            for x, ix in map_a.items():
-                if ((x, v) in g1.qualified) != ((ix, img) in g2.qualified):
-                    return False
-                if ((x, v) in g1.unqualified) != ((ix, img) in g2.unqualified):
-                    return False
-        return True
-
-    def backtrack(i: int) -> bool:
+    def extend(i: int) -> bool:
         if i == len(order):
             return True
-        side, v = order[i]
-        sig = sig1_a[v] if side == "A" else sig1_b[v]
-        pool = (
-            [x for x in sig2_a if sig2_a[x] == sig and x not in used_a]
-            if side == "A"
-            else [y for y in sig2_b if sig2_b[y] == sig and y not in used_b]
-        )
-        for img in pool:
-            if not consistent(side, v, img):
+        v = order[i]
+        for img in pool[sig1[v]]:
+            if img in image.values() or any(colour1[v].get(w) != colour2[img].get(iw) for w, iw in image.items()):
                 continue
-            if side == "A":
-                map_a[v] = img
-                used_a.add(img)
-            else:
-                map_b[v] = img
-                used_b.add(img)
-            if backtrack(i + 1):
+            image[v] = img
+            if extend(i + 1):
                 return True
-            if side == "A":
-                del map_a[v]
-                used_a.discard(img)
-            else:
-                del map_b[v]
-                used_b.discard(img)
+            del image[v]
         return False
 
-    return backtrack(0)
+    return extend(0)
+
+
+def _signatures(colour: dict[tuple, dict[tuple, str]]) -> dict[tuple, tuple]:
+    sig = {}
+    for u, nbrs in colour.items():
+        colours = list(nbrs.values())
+        sig[u] = (u[0], colours.count("q"), colours.count("u"))
+    return sig
 
 
 # -- classification ----------------------------------------------------------------
@@ -313,6 +276,27 @@ def _slot_classes(total: int, pairs: list[tuple[int, int]]) -> tuple[int, np.nda
     return len(number), np.array([number[r] for r in roots], dtype=np.intp)
 
 
+def _draw_rows(
+    rng: np.random.Generator,
+    p: int,
+    L: int,
+    x0: np.ndarray | int,
+    basis: np.ndarray,
+    checks: list[np.ndarray],
+    draws: int,
+) -> np.ndarray | None:
+    """Up to ``draws`` random members ``x0 + basis.T @ coeffs`` (mod p) of an
+    affine solution space, with ``coeffs`` drawn as a (len(basis), L) block
+    each time; the first member ``rows`` for which every check matrix D has
+    rank(D @ rows) == L, or None."""
+    for _ in range(draws):
+        coeffs = rng.integers(0, p, size=(len(basis), L), dtype=np.int64)
+        rows = np.mod(x0 + basis.T @ coeffs, p)
+        if all(residue_rank(d @ rows, p) == L for d in checks):
+            return rows
+    return None
+
+
 def _solve_alignment(
     inst: CdsInstance,
     field: PrimeField,
@@ -326,45 +310,38 @@ def _solve_alignment(
     uedges: list[tuple[str, str]],
     rng: np.random.Generator,
 ) -> LinearScheme | None:
-    p = field.p
+    total = len(nodes) * N
     cols = {n: sorted(atoms[n]) for n in nodes}
-    row_of = {n: {t: r for r, t in enumerate(cols[n])} for n in nodes}
-
-    def slot(n: str, t: int) -> int:
-        return node_idx[n] * N + row_of[n][t]
-
+    slot = {(n, t): node_idx[n] * N + r for n in nodes for r, t in enumerate(cols[n])}
     # each unqualified constraint F_u[t] = F_v[t] joins two slots, so the
     # solution space is spanned by the indicator vectors of the slot classes
-    k, cls = _slot_classes(
-        len(nodes) * N, [(slot(u, t), slot(v, t)) for u, v in uedges for t in atoms[u] & atoms[v]]
-    )
-    if k == 0:
-        return None
-    qslots = []
+    k, cls = _slot_classes(total, [(slot[u, t], slot[v, t]) for u, v in uedges for t in atoms[u] & atoms[v]])
+    basis = np.zeros((k, total), dtype=np.int64)
+    basis[cls, np.arange(total)] = 1
+    # a qualified edge decodes when its shared slots' row differences have rank L
+    checks = []
     for u, v in qedges:
         shared = sorted(atoms[u] & atoms[v])
-        qslots.append(([slot(u, t) for t in shared], [slot(v, t) for t in shared]))
-    for _ in range(SEARCH_INNER_DRAWS):
-        coeffs = rng.integers(0, p, size=(k, L), dtype=np.int64)
-        rows = coeffs[cls]  # total x L
-        if any(residue_rank(rows[su] - rows[sv], p) < L for su, sv in qslots):
-            continue
-        precoders = {}
-        for n in nodes:
-            f = rows[node_idx[n] * N : node_idx[n] * N + N]
-            h = np.zeros((N, L_Z), dtype=np.int64)
-            for r, t in enumerate(cols[n]):
-                h[r, t] = 1
-            precoders[n] = (FieldMatrix(f, field), FieldMatrix(h, field))
-        return LinearScheme(
-            field=field,
-            L=L,
-            L_Z=L_Z,
-            N=N,
-            precoders=precoders,
-            name=f"search-{inst.name}" if inst.name else "search",
-        )
-    return None
+        d = np.zeros((len(shared), total), dtype=np.int64)
+        for i, t in enumerate(shared):
+            d[i, slot[u, t]], d[i, slot[v, t]] = 1, -1
+        checks.append(d)
+    rows = _draw_rows(rng, field.p, L, 0, basis, checks, SEARCH_INNER_DRAWS)
+    if rows is None:
+        return None
+    precoders = {}
+    for n in nodes:
+        h = np.zeros((N, L_Z), dtype=np.int64)
+        h[np.arange(N), cols[n]] = 1
+        precoders[n] = (FieldMatrix(rows[node_idx[n] * N : node_idx[n] * N + N], field), FieldMatrix(h, field))
+    return LinearScheme(
+        field=field,
+        L=L,
+        L_Z=L_Z,
+        N=N,
+        precoders=precoders,
+        name=f"search-{inst.name}" if inst.name else "search",
+    )
 
 
 SOLVE_INNER_DRAWS = 64  # members of the solution space tried by solve_scheme_for_noise
@@ -389,92 +366,63 @@ def solve_scheme_for_noise(
     SOLVE_INNER_DRAWS of them. ``pinned_rows`` fixes chosen F rows to
     given vectors and ``pinned_diffs`` fixes differences of two rows, which
     lets callers reproduce published scheme fragments. Nodes with no edges
-    get all-zero secret precoders.
+    get all-zero secret precoders. Noise precoders with different row
+    counts raise ValueError.
     """
-    p = field.p
     nodes = inst.nodes()
-    node_idx = {n: i for i, n in enumerate(nodes)}
-    n_rows = {n: h_map[n].rows for n in nodes}
-    offsets = {}
-    total = 0
-    for n in nodes:
-        offsets[n] = total
-        total += n_rows[n]
+    N = h_map[nodes[0]].rows
+    if any(h_map[n].rows != N for n in nodes):
+        raise ValueError("all noise precoders must have the same row count N")
+    block = {n: slice(i * N, i * N + N) for i, n in enumerate(nodes)}
+    total = len(nodes) * N
 
-    inters = {}
+    # an edge's overlap coefficients [P_a | -P_b], placed at its two node
+    # blocks, give equations when it is unqualified and a rank check when not
     eq_rows: list[np.ndarray] = []
     rhs_rows: list[np.ndarray] = []
+    checks: list[np.ndarray] = []
+    touched: set[str] = set()
     for (x, y), kind in inst.edges_with_kind():
         u, v = a_node(x), b_node(y)
-        inters[(u, v)] = inter = rowspace_intersection(h_map[u], h_map[v])
-        if kind != "unqualified":
-            continue
-        pa, pb = inter.p_a.array, inter.p_b.array
-        for i in range(pa.shape[0]):
-            row = np.zeros(total, dtype=np.int64)
-            row[offsets[u] : offsets[u] + n_rows[u]] = pa[i]
-            row[offsets[v] : offsets[v] + n_rows[v]] = np.mod(-pb[i], p)
-            eq_rows.append(row)
-            rhs_rows.append(np.zeros(L, dtype=np.int64))
+        touched.update((u, v))
+        inter = rowspace_intersection(h_map[u], h_map[v])
+        pair = np.zeros((inter.p_a.rows, total), dtype=np.int64)
+        pair[:, block[u]] = inter.p_a.array
+        pair[:, block[v]] = -inter.p_b.array
+        if kind == "unqualified":
+            eq_rows.extend(pair)
+            rhs_rows.extend(np.zeros((len(pair), L), dtype=np.int64))
+        else:
+            checks.append(pair)
     for node, r, vec in pinned_rows or []:
         row = np.zeros(total, dtype=np.int64)
-        row[offsets[node] + r] = 1
+        row[block[node].start + r] = 1
         eq_rows.append(row)
-        rhs_rows.append(np.mod(np.asarray(vec, dtype=np.int64), p))
+        rhs_rows.append(np.asarray(vec, dtype=np.int64))
     for (n1, r1), (n2, r2), vec in pinned_diffs or []:
         row = np.zeros(total, dtype=np.int64)
-        row[offsets[n1] + r1] = 1
-        row[offsets[n2] + r2] = (p - 1) % p
+        row[block[n1].start + r1] = 1
+        row[block[n2].start + r2] = -1
         eq_rows.append(row)
-        rhs_rows.append(np.mod(np.asarray(vec, dtype=np.int64), p))
+        rhs_rows.append(np.asarray(vec, dtype=np.int64))
 
     if eq_rows:
         a_sys = FieldMatrix(np.array(eq_rows, dtype=np.int64), field)
-        b_sys = FieldMatrix(np.array(rhs_rows, dtype=np.int64), field)
-        particular = solve_right(a_sys, b_sys)
+        particular = solve_right(a_sys, FieldMatrix(np.array(rhs_rows, dtype=np.int64), field))
         if particular is None:
             return None
-        basis = nullspace(a_sys).array
-        x0 = particular.array
+        x0, basis = particular.array, nullspace(a_sys).array
     else:
-        basis = np.eye(total, dtype=np.int64)
-        x0 = np.zeros((total, L), dtype=np.int64)
-    k = basis.shape[0]
-
-    edgeless = {
-        n for n in nodes if not any(n in (a_node(x), b_node(y)) for x, y in inst.qualified | inst.unqualified)
-    }
-    qpairs = [(a_node(x), b_node(y)) for x, y in sorted(inst.qualified)]
-    n_cols_z = next(iter(h_map.values())).cols
-    if len(set(n_rows.values())) != 1:
-        raise ValueError("all noise precoders must have the same row count N")
-    n_sig = next(iter(n_rows.values()))
-    for _ in range(SOLVE_INNER_DRAWS):
-        coeffs = rng.integers(0, p, size=(k, L), dtype=np.int64) if k else np.zeros((0, L), np.int64)
-        rows = np.mod(x0 + basis.T @ coeffs, p)
-        ok = True
-        for u, v in qpairs:
-            inter = inters[(u, v)]
-            fu = rows[offsets[u] : offsets[u] + n_rows[u]]
-            fv = rows[offsets[v] : offsets[v] + n_rows[v]]
-            diff = np.mod(inter.p_a.array @ fu - inter.p_b.array @ fv, p)
-            if residue_rank(diff, p) < L:
-                ok = False
-                break
-        if not ok:
-            continue
-        precoders = {}
-        for n in nodes:
-            f = rows[offsets[n] : offsets[n] + n_rows[n]].copy()
-            if n in edgeless:
-                f[:] = 0
-            precoders[n] = (FieldMatrix(f, field), h_map[n])
-        return LinearScheme(
-            field=field,
-            L=L,
-            L_Z=n_cols_z,
-            N=n_sig,
-            precoders=precoders,
-            name=f"solved-{inst.name}" if inst.name else "solved",
-        )
-    return None
+        x0, basis = 0, np.eye(total, dtype=np.int64)
+    rows = _draw_rows(rng, field.p, L, x0, basis, checks, SOLVE_INNER_DRAWS)
+    if rows is None:
+        return None
+    precoders = {n: (FieldMatrix(rows[block[n]] if n in touched else np.zeros((N, L)), field), h_map[n]) for n in nodes}
+    return LinearScheme(
+        field=field,
+        L=L,
+        L_Z=h_map[nodes[0]].cols,
+        N=N,
+        precoders=precoders,
+        name=f"solved-{inst.name}" if inst.name else "solved",
+    )

@@ -326,7 +326,8 @@ def main(argv: list[str] | None = None) -> int:
         # unsatisfiable construction preconditions, not bad input
         print(f"cannot synthesize: {e}", file=sys.stderr)
         return FAIL
-    except (InstanceError, SchemeError, FieldError, catalog.UnknownFixture, ValueError) as e:
+    except (InstanceError, SchemeError, FieldError, catalog.UnknownFixture, ValueError, OSError) as e:
+        # OSError: an argument names a directory, or an output path cannot be written
         print(f"error: {e}", file=sys.stderr)
         return USAGE_ERROR
 

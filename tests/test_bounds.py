@@ -76,21 +76,27 @@ def test_isomorphism_side_swap(catalog_instances):
 
 
 def _brute_iso(g1, g2):
-    """Independent oracle: try all side-preserving relabelings."""
+    """Independent oracle: try all relabelings of g1 against g2 and against
+    g2 with its sides swapped."""
     import itertools
 
-    if (g1.a_count, g1.b_count) != (g2.a_count, g2.b_count):
-        return False
     rng_a = range(1, g1.a_count + 1)
     rng_b = range(1, g1.b_count + 1)
-    for pa in itertools.permutations(rng_a):
-        ma = dict(zip(rng_a, pa))
-        for pb in itertools.permutations(rng_b):
-            mb = dict(zip(rng_b, pb))
-            q = {(ma[x], mb[y]) for x, y in g1.qualified}
-            u = {(ma[x], mb[y]) for x, y in g1.unqualified}
-            if q == set(g2.qualified) and u == set(g2.unqualified):
-                return True
+    swapped = ({(y, x) for x, y in g2.qualified}, {(y, x) for x, y in g2.unqualified})
+    for sides, (q2, u2) in (
+        ((g2.a_count, g2.b_count), (set(g2.qualified), set(g2.unqualified))),
+        ((g2.b_count, g2.a_count), swapped),
+    ):
+        if (g1.a_count, g1.b_count) != sides:
+            continue
+        for pa in itertools.permutations(rng_a):
+            ma = dict(zip(rng_a, pa))
+            for pb in itertools.permutations(rng_b):
+                mb = dict(zip(rng_b, pb))
+                q = {(ma[x], mb[y]) for x, y in g1.qualified}
+                u = {(ma[x], mb[y]) for x, y in g1.unqualified}
+                if q == q2 and u == u2:
+                    return True
     return False
 
 
@@ -113,6 +119,20 @@ def test_isomorphism_matches_brute_force(catalog_instances):
         assert color_isomorphic(fig8, other) == _brute_iso(fig8, other), other.name
     assert not color_isomorphic(fig8, variants[1])
     assert not color_isomorphic(fig8, catalog_instances["fig9"])
+
+    # a qualified 8-cycle and two qualified 4-cycles on 4+4 nodes: every node
+    # has side degree 2 and no unqualified edge, so only the colour check of
+    # the mapped pairs can tell them apart
+    cycle8 = {(1, 1), (2, 1), (2, 2), (3, 2), (3, 3), (4, 3), (4, 4), (1, 4)}
+    two4 = {(1, 1), (2, 1), (2, 2), (1, 2), (3, 3), (4, 3), (4, 4), (3, 4)}
+    cycle8, two4 = (CdsInstance("q", 4, 4, frozenset(q), frozenset()) for q in (cycle8, two4))
+    # a 2x3 instance and a relabelling of it with the sides swapped (3x2),
+    # which only a side-swapping relabelling maps back
+    small = CdsInstance("small", 2, 3, frozenset({(1, 1), (1, 2), (2, 3)}), frozenset({(2, 1), (1, 3)}))
+    swapped = _relabel(small, {1: 2, 2: 1}, {1: 3, 2: 1, 3: 2}, swap=True)
+    assert (swapped.a_count, swapped.b_count) == (3, 2)
+    for g1, g2, want in ((cycle8, two4, False), (small, swapped, True)):
+        assert color_isomorphic(g1, g2) == _brute_iso(g1, g2) == want
 
 
 def _networkx_color_isomorphic(first, second):
@@ -188,6 +208,25 @@ def test_search_seeded_scheme_is_pinned(catalog_instances):
     scheme = random_scheme_search(catalog_instances["fig2"], p=3, L=4, N=5, L_Z=9, seed=0, budget=2000)
     digest = hashlib.sha256(serialize_scheme(scheme).encode()).hexdigest()
     assert digest == "a75e35fa42386e932bcaab82552d31b60bbb327b297954657627348ad38d34ff"
+
+
+def test_search_stream_is_pinned_across_a_grid(catalog_instances):
+    # one digest over the searches' serialized schemes ("None" when a search
+    # fails), so any change to the order or the arguments of the searches'
+    # rng calls shows: fig2 found (A2 is edgeless) and above its bound, then
+    # fig5, matching2 and seeded 3x3 paths and cycles at rates L/(2N) up to 1/2
+    cases = [(catalog_instances["fig2"], 4, 5, 9, 0, 2000), (catalog_instances["fig2"], 1, 1, 2, 3, 300)]
+    for name in ("fig5", "matching2", "path", "cycle"):
+        for seed in (0, 1, 2):
+            inst = catalog_instances.get(name) or cc.random_instance(seed, 3, 3, name, 0.3)
+            for L in (1, 2):
+                for N in (L, L + 1):
+                    cases.append((inst, L, N, 2 * N, seed, 40))
+    h = hashlib.sha256()
+    for inst, L, N, L_Z, seed, budget in cases:
+        scheme = random_scheme_search(inst, p=3, L=L, N=N, L_Z=L_Z, seed=seed, budget=budget)
+        h.update((serialize_scheme(scheme) if scheme is not None else "None").encode())
+    assert h.hexdigest() == "363a9b4688de0153720ccfcc6da2e3b077082f8f2cf099458c7e125912a689b1"
 
 
 @st.composite
@@ -303,3 +342,23 @@ def test_solve_scheme_inconsistent_pins_return_none():
         pinned_rows=[("A1", 0, [1, 2]), ("B1", 0, [2, 2])],  # alignment forces equality
     )
     assert scheme is None
+
+
+def test_solve_scheme_for_noise_zeroes_edgeless_nodes():
+    # A2 has no edge, so its secret precoder is all zero whatever was drawn
+    inst = CdsInstance("pair-and-isolated", 2, 1, frozenset({(1, 1)}), frozenset())
+    field = PrimeField(3)
+    h = FieldMatrix([[1, 0], [0, 1]], field)
+    scheme = solve_scheme_for_noise(inst, field, L=1, h_map={"A1": h, "A2": h, "B1": h}, rng=np.random.default_rng(0))
+    assert scheme is not None
+    assert scheme.f_of("A2").to_lists() == [[0], [0]]
+    assert scheme.f_of("A1") != scheme.f_of("B1")
+    assert cc.verify_linear(inst, scheme).overall
+
+
+def test_solve_scheme_for_noise_refuses_unequal_row_counts():
+    inst = CdsInstance("pair", 1, 1, frozenset({(1, 1)}), frozenset())
+    field = PrimeField(3)
+    h_map = {"A1": FieldMatrix([[1, 0], [0, 1]], field), "B1": FieldMatrix([[1, 0]], field)}
+    with pytest.raises(ValueError, match="same row count"):
+        solve_scheme_for_noise(inst, field, L=1, h_map=h_map, rng=np.random.default_rng(0))

@@ -139,6 +139,22 @@ def test_usage_errors_exit_2(capsys):
         assert main(["rho", "fig2", removed]) == 2
 
 
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["rho", "{dir}"],
+        ["verify", "fig2", "{dir}"],
+        ["synth", "fig5", "-o", "{dir}/missing/x.json"],
+        ["catalog", "export", "fig2", "-o", "{dir}/missing/x.json"],
+    ],
+)
+def test_unreadable_or_unwritable_paths_exit_2(tmp_path, capsys, argv):
+    # a directory given as an input file, or an output under a missing
+    # directory, is refused like any other bad argument, not a traceback
+    assert main([a.format(dir=tmp_path) for a in argv]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+
 def test_reused_parser_matches_lone_calls(tmp_path, capsys):
     # each call in the sequence would see the one before it if options
     # leaked between calls: --json, --budget or --seed sticking, or a
