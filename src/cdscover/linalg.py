@@ -47,6 +47,60 @@ def _rref_inplace(a: np.ndarray, p: int, n_cols: int | None = None) -> list[int]
     return pivots
 
 
+def _inverses(x: np.ndarray, p: int) -> np.ndarray:
+    """Inverses mod p of nonzero residues, x^(p-2) by square and multiply.
+
+    Exact in int64 because ``scheme.check_field_size`` keeps (p-1)^2 below
+    2^62; a lookup table would need p entries.
+    """
+    out, e = None, p - 2
+    while e:
+        if e & 1:
+            out = x if out is None else out * x % p
+        e >>= 1
+        if e:
+            x = x * x % p
+    return np.ones_like(x) if out is None else out
+
+
+def batch_rref(stack: np.ndarray, p: int, n_cols: int) -> np.ndarray:
+    """Reduce each matrix of a (B, R, C) stack to RREF mod p in place.
+
+    The stack kernel of ``_rref_inplace``, with its pivot rule: in column
+    order over the first ``n_cols`` columns, the first nonzero at or below
+    the current row. Returns each matrix's pivot count. ``stack`` must be
+    int64 and already reduced mod p. One column step costs a few numpy
+    calls for the whole stack, so many small matrices take one call; a
+    single matrix runs faster through ``_rref_inplace``.
+    """
+    n_mats, n_rows = stack.shape[:2]
+    rank = np.zeros(n_mats, dtype=np.intp)
+    rows, every = np.arange(n_rows), np.arange(n_mats)
+    for col in range(n_cols):
+        cand = (stack[:, :, col] != 0) & (rows >= rank[:, None])
+        has = cand.any(axis=1)
+        # every matrix usually has a pivot here; a slice then keeps the
+        # stack from being copied out and back by a fancy index
+        mats = slice(None) if has.all() else np.flatnonzero(has)
+        at = every if isinstance(mats, slice) else every[: mats.size]
+        if not at.size:
+            continue
+        top, piv = rank[mats], cand[mats].argmax(axis=1)
+        sub = stack[mats]
+        pivot_rows = sub[at, piv]
+        sub[at, piv] = sub[at, top]
+        pivot_rows = pivot_rows * _inverses(pivot_rows[:, col], p)[:, None] % p
+        factors = sub[:, :, col].copy()
+        factors[at, top] = 0
+        sub -= factors[:, :, None] * pivot_rows[:, None, :]
+        sub %= p
+        sub[at, top] = pivot_rows
+        if not isinstance(mats, slice):
+            stack[mats] = sub
+        rank[mats] += 1
+    return rank
+
+
 def residue_rank(a: np.ndarray, p: int) -> int:
     """Rank mod p of an integer array, which is left unchanged."""
     return len(_rref_inplace(np.mod(a, p), p))

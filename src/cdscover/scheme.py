@@ -19,7 +19,7 @@ import numpy as np
 
 from .fields import FieldError, FieldMatrix, PrimeField
 from .graph import CdsInstance, a_node, b_node, node_key
-from .linalg import residue_rank, rowspace_intersection, rref_with_transform
+from .linalg import batch_rref, residue_rank, rowspace_intersection, rref_with_transform
 
 
 class SchemeError(ValueError):
@@ -88,6 +88,8 @@ def rate(scheme: LinearScheme) -> Fraction:
 def _matrix_entries(obj, what: str, p: int) -> list[list[int]]:
     if not isinstance(obj, list) or not all(isinstance(r, list) for r in obj):
         raise SchemeError(f"{what} must be a list of rows")
+    if len({len(r) for r in obj}) > 1:
+        raise SchemeError(f"{what} must be a rectangular list of rows")
     for r in obj:
         for v in r:
             if not isinstance(v, int) or isinstance(v, bool) or not 0 <= v < p:
@@ -199,63 +201,110 @@ def verify_linear(inst: CdsInstance, scheme: LinearScheme) -> VerificationReport
     edge passes iff rank(P_v F_v - P_u F_u) = L (the overlap must then have
     dimension >= L, recorded separately as the noise-alignment datum); an
     unqualified edge passes iff P_v F_v = P_u F_u entry-wise. Each noise
-    precoder must also have full row rank. The checks do not depend on the
-    choice of P: the rows of (P_v | P_u) span the full solution set of
-    P_v H_v = P_u H_u modulo left-null contributions, so any other
-    full-rank choice differs by an invertible row transform.
+    precoder must also have full row rank.
+
+    The checks do not depend on the choice of P when H_v and H_u both have
+    full row rank N: the rows of (P_v | -P_u) are then a basis of the left
+    null space of the stack H = [H_v; H_u], so with W any basis of it the
+    overlap has dimension d = 2N - rank(H) and the difference is W F for
+    F = [F_v; F_u], up to an invertible row transform. The rank identity
+    rank([H | F]) = rank(H) + rank(W F) then gives every edge's checks
+    from one elimination of [H | F] pivoting on the H columns: its rows
+    past rank(H) hold W F. All such edges are reduced together by
+    ``batch_rref``. When an end's noise precoder is rank-deficient, some
+    nonzero (P_v | -P_u) vanish on the noise, and rank(P_v F_v - P_u F_u)
+    depends on which P the intersection picks; such an edge keeps the
+    explicit ``rowspace_intersection``, and its scheme fails noise-rank.
     """
     scheme.check_for_instance(inst)
-    records: list[CheckRecord] = []
-    for node in sorted(inst.nodes(), key=node_key):
-        r = residue_rank(scheme.h_of(node).array, scheme.field.p)
-        records.append(
-            CheckRecord(
-                subject=node,
-                kind="noise-rank",
-                passed=r == scheme.N,
-                detail=f"rank(H)={r}, N={scheme.N}",
-            )
-        )
-    for (x, y), kind in inst.edges_with_kind():
-        va, vb = a_node(x), b_node(y)
+    p, L, N = scheme.field.p, scheme.L, scheme.N
+    nodes = inst.nodes()  # in node_key order
+    f_all = np.array([scheme.f_of(n).array for n in nodes], dtype=np.int64).reshape(len(nodes), N, L)
+    h_all = np.array([scheme.h_of(n).array for n in nodes], dtype=np.int64).reshape(len(nodes), N, scheme.L_Z)
+    node_h = _used_first(h_all, np.arange(len(nodes)), h_all.any(axis=1))
+    noise_rank = batch_rref(node_h, p, node_h.shape[2]).tolist()
+    records = [
+        CheckRecord(subject=node, kind="noise-rank", passed=r == N, detail=f"rank(H)={r}, N={N}")
+        for node, r in zip(nodes, noise_rank)
+    ]
+    edges = list(inst.edges_with_kind())
+    ends = np.array([(x - 1, inst.a_count + y - 1) for (x, y), _ in edges], dtype=np.intp).reshape(-1, 2)
+    qualified = np.array([kind == "qualified" for _, kind in edges], dtype=bool)
+    dims = np.zeros(len(edges), dtype=np.intp)
+    ranks = np.zeros(len(edges), dtype=np.intp)  # rank of the difference, 0 iff it is zero
+    full = (np.array(noise_rank) == N)[ends].all(axis=1)
+    dims[full], ranks[full] = _edge_checks(f_all, h_all, ends[full], qualified[full], p)
+    for e in np.flatnonzero(~full):
+        va, vb = nodes[ends[e, 0]], nodes[ends[e, 1]]
         inter = rowspace_intersection(scheme.h_of(va), scheme.h_of(vb))
-        d = inter.basis.rows
+        dims[e] = inter.basis.rows
         diff = (inter.p_a @ scheme.f_of(va)) - (inter.p_b @ scheme.f_of(vb))
-        subject = f"{va}-{vb}"
+        ranks[e] = residue_rank(diff.array, p) if qualified[e] else diff.array.any()
+    for ((x, y), kind), d, r in zip(edges, dims.tolist(), ranks.tolist()):
+        subject = f"{a_node(x)}-{b_node(y)}"
         if kind == "qualified":
-            r = residue_rank(diff.array, scheme.field.p)
             records.append(
                 CheckRecord(
                     subject=subject,
                     kind="qualified",
-                    passed=r == scheme.L,
+                    passed=r == L,
                     overlap_dim=d,
-                    detail=f"rank(PvFv - PuFu)={r}, L={scheme.L}",
+                    detail=f"rank(PvFv - PuFu)={r}, L={L}",
                 )
             )
             records.append(
                 CheckRecord(
                     subject=subject,
                     kind="noise-alignment",
-                    passed=d >= scheme.L,
+                    passed=d >= L,
                     overlap_dim=d,
-                    detail=f"overlap dim {d} vs L={scheme.L}",
+                    detail=f"overlap dim {d} vs L={L}",
                 )
             )
         else:
-            ok = diff.is_zero()
             records.append(
                 CheckRecord(
                     subject=subject,
                     kind="unqualified",
-                    passed=ok,
+                    passed=r == 0,
                     overlap_dim=d,
                     detail="secret projections agree on the noise overlap"
-                    if ok
+                    if r == 0
                     else "secret projections differ on the noise overlap",
                 )
             )
     return VerificationReport(tuple(records))
+
+
+def _used_first(h_all: np.ndarray, idx: np.ndarray, used: np.ndarray) -> np.ndarray:
+    """``h_all[idx]`` with the columns marked in ``used`` first, in order,
+    cut at the largest count of marked columns in a row of ``used``. The
+    unmarked columns must be zero; they change no rank, so it does not
+    matter which of them the cut keeps."""
+    cols = np.argsort(~used, axis=1, kind="stable")[:, None, : used.sum(axis=1).max(initial=0)]
+    return h_all[idx[:, None, None], np.arange(h_all.shape[1])[None, :, None], cols]
+
+
+def _edge_checks(
+    f_all: np.ndarray, h_all: np.ndarray, ends: np.ndarray, qualified: np.ndarray, p: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Overlap dimensions and difference ranks of edges whose ends both have
+    full-rank noise; an unqualified edge's rank is only told apart from 0.
+
+    Each edge's 2N x (U + L) stack [H_v | F_v; H_u | F_u] keeps the U noise
+    columns used at either end, gathered straight from the node arrays.
+    """
+    N, L = f_all.shape[1:]
+    used = h_all.any(axis=1)[ends].any(axis=1)
+    h_stack = np.concatenate([_used_first(h_all, ends[:, 0], used), _used_first(h_all, ends[:, 1], used)], axis=1)
+    U = h_stack.shape[2]
+    stack = np.concatenate([h_stack, f_all[ends].reshape(len(ends), 2 * N, L)], axis=2)
+    h_rank = batch_rref(stack, p, U)
+    wf = stack[:, :, U:]
+    wf[np.arange(2 * N) < h_rank[:, None]] = 0
+    ranks = wf.any(axis=(1, 2)).astype(np.intp)
+    ranks[qualified] = batch_rref(wf[qualified], p, L)
+    return 2 * N - h_rank, ranks
 
 
 # -- entropic oracle ------------------------------------------------------------

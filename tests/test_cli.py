@@ -1,3 +1,4 @@
+import hashlib
 import json
 from fractions import Fraction
 
@@ -222,6 +223,15 @@ def test_moduli_past_int64_products_exit_2(tmp_path, capsys):
     assert "overflow int64" in capsys.readouterr().err
 
 
+def test_ragged_precoder_rows_exit_2(tmp_path, capsys):
+    obj = json.loads(cc.catalog.scheme_text("fig2-rate-2-5"))
+    obj["nodes"]["B3"]["H"][1].append(0)
+    path = tmp_path / "ragged.json"
+    path.write_text(json.dumps(obj), encoding="utf-8")
+    assert main(["verify", "fig2", str(path)]) == 2
+    assert capsys.readouterr().err == "error: H_B3 must be a rectangular list of rows\n"
+
+
 def test_malformed_instance_file_exit_2(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json", encoding="utf-8")
@@ -270,3 +280,67 @@ def test_large_cycle_rho_bound_classify(tmp_path, capsys):
     verdict = json.loads(capsys.readouterr().out)
     assert verdict["kind"] == "exact"
     assert verdict["value"] == f"{bound.numerator}/{bound.denominator}"
+
+
+def _synthesized_unions():
+    """Seeded unions of 3-4 random path/cycle instances that synthesize."""
+    out = []
+    seed = 0
+    while len(out) < 4:
+        seed += 1
+        parts = []
+        for k in range(3 + seed % 2):
+            s = 100 * seed + k
+            shape = ("path", "cycle")[s % 2]
+            side = 3 + s % 3
+            parts.append(cc.random_instance(s, side, side, shape, (0.2, 0.4)[seed % 2]))
+        inst = parts[0]
+        for k, part in enumerate(parts[1:]):
+            inst = cc.disjoint_union(inst, part, cross_density=0.05 * (seed % 3), seed=seed + k)
+        try:
+            scheme = cc.synthesize(inst)
+        except cc.synthesis.SynthesisError:
+            continue
+        out.append((inst, scheme))
+    return out
+
+
+def _perturbed(scheme, seed):
+    """The scheme with one secret entry bumped, and with one noise precoder
+    made rank-deficient (its first row copied onto its last)."""
+    nodes = sorted(scheme.precoders)
+    node = nodes[seed % len(nodes)]
+    f, h = scheme.precoders[node]
+    bumped = f.array.copy()
+    bumped[seed % scheme.N, seed % scheme.L] += 1
+    low = h.array.copy()
+    low[-1] = low[0]
+    variants = []
+    for pair in ((cc.FieldMatrix(bumped, f.field), h), (f, cc.FieldMatrix(low, h.field))):
+        precoders = dict(scheme.precoders)
+        precoders[node] = pair
+        variants.append(cc.LinearScheme(scheme.field, scheme.L, scheme.L_Z, scheme.N, precoders, scheme.name))
+    return variants
+
+
+def test_verify_output_is_pinned(tmp_path, capsys):
+    # one sha256 over the exit code and --json stdout of verify on every
+    # catalog instance/scheme pair (mismatched pairs exit 2) and on the
+    # synthesized schemes of seeded 3-4 component unions, each also with a
+    # bumped secret entry and with a rank-deficient noise precoder; pinned
+    # from the per-edge rowspace-intersection verifier
+    calls = [[inst, name] for inst in cc.catalog.INSTANCE_NAMES for name in cc.catalog.SCHEME_NAMES]
+    for i, (inst, scheme) in enumerate(_synthesized_unions()):
+        inst_path = tmp_path / f"union{i}.json"
+        inst_path.write_text(cc.serialize_instance(inst), encoding="utf-8")
+        for j, variant in enumerate([scheme] + _perturbed(scheme, i)):
+            scheme_path = tmp_path / f"union{i}-{j}.json"
+            scheme_path.write_text(cc.serialize_scheme(variant), encoding="utf-8")
+            calls.append([str(inst_path), str(scheme_path)])
+    h = hashlib.sha256()
+    codes = []
+    for inst, scheme in calls:
+        codes.append(main(["--json", "verify", inst, scheme]))
+        h.update(f"{codes[-1]}\0{capsys.readouterr().out}\0".encode())
+    assert codes.count(0) >= 4 and codes.count(1) >= 8 and codes.count(2) >= 1
+    assert h.hexdigest() == "d9dd078717662e92c106a566e169bf98f27958a96c49014a7c3900ec0982ad48"

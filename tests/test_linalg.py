@@ -6,6 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from cdscover.fields import FieldError, FieldMatrix, PrimeField
 from cdscover.linalg import (
+    _rref_inplace,
+    batch_rref,
     cauchy_matrix,
     nullspace,
     rank_rref,
@@ -94,6 +96,45 @@ def test_nullspace_matches_elementwise_construction(m):
             expected[i, pc] = (-int(red.array[row_idx, fc])) % p
     assert np.array_equal(nullspace(m).array, expected)
     assert residue_rank(m.array - p, p) == r
+
+
+@st.composite
+def stacks(draw, primes=(2, 3, 5, 7)):
+    """(p, a B x R x C stack, n_cols); B, R or C may be 0, and a drawn share
+    of entries is forced to 0 so that zero rows and columns turn up."""
+    p = draw(st.sampled_from(primes))
+    shape = tuple(draw(st.integers(0, 5)) for _ in range(3))
+    size = shape[0] * shape[1] * shape[2]
+    values = draw(st.lists(st.integers(0, p - 1), min_size=size, max_size=size))
+    zeroed = draw(st.lists(st.booleans(), min_size=size, max_size=size))
+    stack = np.array([0 if z else v for v, z in zip(values, zeroed)], dtype=np.int64).reshape(shape)
+    return p, stack, draw(st.integers(0, shape[2]))
+
+
+@given(stacks())
+@settings(max_examples=150, deadline=None)
+def test_batch_rref_matches_single_matrix_kernel(case):
+    p, stack, n_cols = case
+    work = stack.copy()
+    ranks = batch_rref(work, p, n_cols)
+    assert ranks.shape == (stack.shape[0],)
+    for m, red, r in zip(stack, work, ranks.tolist()):
+        assert r == residue_rank(m[:, :n_cols], p)
+        single = m.copy()
+        assert len(_rref_inplace(single, p, n_cols)) == r
+        assert np.array_equal(red, single)  # the carried columns follow the same row operations
+        if n_cols == m.shape[1]:
+            assert np.array_equal(red, rank_rref(fm(m, p)).rref.array)
+
+
+def test_batch_rref_large_prime():
+    # pivot inverses by square and multiply, exact at the largest modulus
+    # check_field_size admits for N = 1; a table of p inverses would not fit
+    p = 2**31 - 1
+    stack = np.array([[[p - 1, 5], [3, p - 2]], [[0, 0], [0, 7]]], dtype=np.int64)
+    ranks = batch_rref(stack, p, 2)
+    assert ranks.tolist() == [2, 1]
+    assert stack.tolist() == [[[1, 0], [0, 1]], [[0, 1], [0, 0]]]
 
 
 def test_intersection_identical_spaces():

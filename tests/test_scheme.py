@@ -8,14 +8,17 @@ from hypothesis import example, given, settings, strategies as st
 
 import cdscover as cc
 from cdscover.fields import FieldMatrix, PrimeField
-from cdscover.graph import CdsInstance
+from cdscover.graph import CdsInstance, a_node, b_node
+from cdscover.linalg import residue_rank, rowspace_intersection
 from cdscover.scheme import (
     DEFAULT_ORACLE_BUDGET,
+    CheckRecord,
     LinearScheme,
     SchemeError,
     _pair_table,
     entropic_oracle_all,
     entropic_oracle_edge,
+    VerificationReport,
     parse_scheme,
     rate,
     serialize_scheme,
@@ -23,7 +26,7 @@ from cdscover.scheme import (
     verify_linear,
 )
 
-from conftest import identity, random_full_rank_h, random_matrix, zeros
+from conftest import identity, random_full_rank_h, random_matrix, small_scheme_corpus, zeros
 
 
 def test_rate_values():
@@ -86,6 +89,11 @@ def test_parse_scheme_errors():
                 {"p": 3, "L": 1, "Lz": 1, "N": 1, "nodes": {"A1": {"F": [[5]], "H": [[0]]}}}
             )
         )
+    for node, matrix in (("A1", "F"), ("B2", "H")):
+        entry = {"F": [[1], [0]], "H": [[0, 1], [1, 0]]}
+        entry[matrix] = [[1], [1, 2]]
+        with pytest.raises(SchemeError, match=rf"^{matrix}_{node} must be a rectangular list of rows$"):
+            parse_scheme(json.dumps({"p": 3, "L": 1, "Lz": 2, "N": 2, "nodes": {node: entry}}))
     for name in (["n", {"k": [1]}], 7, None):
         with pytest.raises(SchemeError, match="field 'name' must be a string"):
             parse_scheme(json.dumps({"name": name, "p": 3, "L": 1, "Lz": 1, "N": 1, "nodes": {}}))
@@ -171,6 +179,120 @@ def test_verify_flags_rank_deficient_noise():
     report = verify_linear(inst, LinearScheme(f, 1, 2, 2, precoders))
     assert not report.overall
     assert {r.subject for r in report.failures()} == {"A1", "B1"}
+
+
+def _reference_verify(inst, scheme):
+    """The linear verifier edge by edge: one rowspace_intersection per edge,
+    then the rank of P_v F_v - P_u F_u, or its zero test."""
+    p, L, N = scheme.field.p, scheme.L, scheme.N
+    records = []
+    for node in inst.nodes():
+        r = residue_rank(scheme.h_of(node).array, p)
+        records.append(CheckRecord(node, "noise-rank", r == N, detail=f"rank(H)={r}, N={N}"))
+    for (x, y), kind in inst.edges_with_kind():
+        va, vb = a_node(x), b_node(y)
+        inter = rowspace_intersection(scheme.h_of(va), scheme.h_of(vb))
+        d = inter.basis.rows
+        diff = (inter.p_a @ scheme.f_of(va)) - (inter.p_b @ scheme.f_of(vb))
+        subject = f"{va}-{vb}"
+        if kind == "qualified":
+            r = residue_rank(diff.array, p)
+            records.append(CheckRecord(subject, "qualified", r == L, d, f"rank(PvFv - PuFu)={r}, L={L}"))
+            records.append(CheckRecord(subject, "noise-alignment", d >= L, d, f"overlap dim {d} vs L={L}"))
+        else:
+            ok = diff.is_zero()
+            detail = f"secret projections {'agree' if ok else 'differ'} on the noise overlap"
+            records.append(CheckRecord(subject, "unqualified", ok, d, detail))
+    return VerificationReport(tuple(records))
+
+
+@st.composite
+def verifier_schemes(draw):
+    """Small schemes over p in {2, 3, 5, 7} on drawn instances.
+
+    Instances may have edgeless nodes or no edge at all. A noise precoder
+    is random (rank-deficient whenever N > L_Z), a selection of N distinct
+    coordinates, or made rank-deficient by repeating a multiple of a row.
+    Secret precoders are random, zero, or masked by the noise (F = H @ mix),
+    and nodes draw from a small pool of precoder pairs, so that edges pass
+    as well as fail.
+    """
+    p = draw(st.sampled_from((2, 3, 5, 7)))
+    L, N = draw(st.integers(1, 2)), draw(st.integers(1, 3))
+    L_Z = draw(st.integers(N - 1, 2 * N))
+    a_count, b_count = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    pairs = [(x, y) for x in range(1, a_count + 1) for y in range(1, b_count + 1)]
+    kinds = draw(st.lists(st.sampled_from(("qualified", "unqualified", None)), min_size=len(pairs), max_size=len(pairs)))
+    inst = CdsInstance(
+        "drawn",
+        a_count,
+        b_count,
+        frozenset(e for e, k in zip(pairs, kinds) if k == "qualified"),
+        frozenset(e for e, k in zip(pairs, kinds) if k == "unqualified"),
+    )
+    field = PrimeField(p)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    mix = rng.integers(0, p, size=(L_Z, L))
+    nodes = inst.nodes()
+    pool = []
+    for _ in range(draw(st.integers(2, len(nodes) + 1))):
+        noise = draw(st.sampled_from(("random", "selection", "deficient")))
+        h = rng.integers(0, p, size=(N, L_Z))
+        if noise == "selection" and N <= L_Z:
+            h = np.eye(L_Z, dtype=np.int64)[rng.permutation(L_Z)[:N]]
+        elif noise == "deficient" and N > 1:
+            h[-1] = h[0] * rng.integers(0, p)
+        secret = draw(st.sampled_from(("random", "random", "zero", "masked")))
+        f = {"random": rng.integers(0, p, size=(N, L)), "zero": np.zeros((N, L), dtype=np.int64), "masked": h @ mix}
+        pool.append((FieldMatrix(f[secret], field), FieldMatrix(h, field)))
+    picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=len(nodes), max_size=len(nodes)))
+    return inst, LinearScheme(field, L, L_Z, N, {node: pool[i] for node, i in zip(nodes, picks)})
+
+
+@given(verifier_schemes())
+@settings(max_examples=300, deadline=None)
+def test_verify_linear_matches_per_edge_reference(drawn):
+    inst, scheme = drawn
+    assert verify_linear(inst, scheme) == _reference_verify(inst, scheme)
+
+
+def _synthesized_and_searched():
+    cases = [
+        (cc.catalog.builtin_instance(cc.catalog.SCHEME_INSTANCE[name]), cc.catalog.builtin_scheme(name))
+        for name in cc.catalog.SCHEME_NAMES
+    ]
+    cases += [(inst, scheme) for inst, scheme, _ in small_scheme_corpus(30)]
+    for seed, shape in ((3, "path"), (4, "cycle"), (6, "cycle")):
+        inst = cc.random_instance(seed, 7, 7, shape, 0.3)
+        cases.append((inst, cc.synthesize(inst)))
+    return cases
+
+
+def test_verify_linear_matches_per_edge_reference_on_fixtures():
+    # pinned, searched, perturbed and synthesized schemes: passing ones too
+    cases = _synthesized_and_searched()
+    reports = [verify_linear(inst, scheme) for inst, scheme in cases]
+    assert sum(r.overall for r in reports) >= 10 and sum(not r.overall for r in reports) >= 10
+    for (inst, scheme), report in zip(cases, reports):
+        assert report == _reference_verify(inst, scheme), scheme.name
+
+
+def test_verify_linear_at_the_largest_field():
+    # p = 2^31 - 1 is the largest prime check_field_size admits at N = 1;
+    # any per-residue table of inverses would need 16 GiB here
+    p = 2**31 - 1
+    field = PrimeField(p)
+    inst = CdsInstance("tiny-mixed", 3, 2, frozenset({(1, 1), (2, 2)}), frozenset({(1, 2), (3, 1), (3, 2), (2, 1)}))
+    rng = np.random.default_rng(5)
+    for _ in range(5):
+        precoders = {node: (random_matrix(1, 1, field, rng), random_matrix(1, 1, field, rng)) for node in inst.nodes()}
+        scheme = LinearScheme(field, 1, 1, 1, precoders)
+        assert verify_linear(inst, scheme) == _reference_verify(inst, scheme)
+    h = FieldMatrix([[p - 1]], field)
+    aligned = LinearScheme(field, 1, 1, 1, {node: (FieldMatrix([[p - 2]], field), h) for node in inst.nodes()})
+    report = verify_linear(inst, aligned)
+    assert report == _reference_verify(inst, aligned)
+    assert [r.kind for r in report.failures()] == ["qualified", "qualified"]
 
 
 # -- entropic oracle ---------------------------------------------------------
