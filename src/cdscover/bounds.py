@@ -82,30 +82,18 @@ def _map_nodes(colour1: dict[tuple, dict[tuple, str]], colour2: dict[tuple, dict
         pool.setdefault(sig2[n], []).append(n)
     order = sorted(sig1, key=lambda n: (sig1[n], n), reverse=True)
     image: dict[tuple, tuple] = {}
-    used: set[tuple] = set()
-    used_nbrs = dict.fromkeys(colour2, 0)  # each node's neighbours among the used images
 
     def extend(i: int) -> bool:
         if i == len(order):
             return True
         v = order[i]
-        mapped = [(image[w], c) for w, c in colour1[v].items() if w in image]
         for img in pool[sig1[v]]:
-            # img keeps the colour to each mapped neighbour of v and has no
-            # other neighbour among the used images
-            nbrs = colour2[img]
-            if img in used or used_nbrs[img] != len(mapped) or any(nbrs.get(iw) != c for iw, c in mapped):
+            if img in image.values() or any(colour1[v].get(w) != colour2[img].get(iw) for w, iw in image.items()):
                 continue
             image[v] = img
-            used.add(img)
-            for n in nbrs:
-                used_nbrs[n] += 1
             if extend(i + 1):
                 return True
             del image[v]
-            used.discard(img)
-            for n in nbrs:
-                used_nbrs[n] -= 1
         return False
 
     return extend(0)

@@ -78,13 +78,12 @@ def batch_rref(stack: np.ndarray, p: int, n_cols: int) -> np.ndarray:
     rows, every = np.arange(n_rows), np.arange(n_mats)
     for col in range(n_cols):
         cand = (stack[:, :, col] != 0) & (rows >= rank[:, None])
-        has = cand.any(axis=1)
-        # every matrix usually has a pivot here; a slice then keeps the
-        # stack from being copied out and back by a fancy index
-        mats = slice(None) if has.all() else np.flatnonzero(has)
-        at = every if isinstance(mats, slice) else every[: mats.size]
-        if not at.size:
+        mats = np.flatnonzero(cand.any(axis=1))
+        if not mats.size:
             continue
+        # ``sub`` holds the matrices with a pivot in this column; ``at``
+        # indexes them in it
+        at = every[: mats.size]
         top, piv = rank[mats], cand[mats].argmax(axis=1)
         sub = stack[mats]
         pivot_rows = sub[at, piv]
@@ -95,8 +94,7 @@ def batch_rref(stack: np.ndarray, p: int, n_cols: int) -> np.ndarray:
         sub -= factors[:, :, None] * pivot_rows[:, None, :]
         sub %= p
         sub[at, top] = pivot_rows
-        if not isinstance(mats, slice):
-            stack[mats] = sub
+        stack[mats] = sub
         rank[mats] += 1
     return rank
 
