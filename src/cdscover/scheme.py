@@ -11,6 +11,7 @@ path with the linear conditions.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 from fractions import Fraction
@@ -339,6 +340,7 @@ class OracleResult:
 
 
 DEFAULT_ORACLE_BUDGET = 10_000_000
+DIGIT_TABLE_LIMIT = 2**16  # entries of a digit-sum table
 
 
 def _all_tuples(p: int, n: int) -> np.ndarray:
@@ -348,13 +350,30 @@ def _all_tuples(p: int, n: int) -> np.ndarray:
     return np.indices((p,) * n, dtype=np.int64).reshape(n, -1).T
 
 
+@functools.lru_cache(maxsize=16)
+def _digit_sum_table(p: int) -> tuple[int, np.ndarray | None]:
+    """(g, tab): g base-p digits per key group, the most whose p^g x p^g table fits
+    the limit, and ``tab[a, b]`` the key of (digits(a) + digits(b)) mod p, below
+    p^g <= 256; keys of fewer digits index it too. (1, None) when p^2 exceeds the limit."""
+    if p * p > DIGIT_TABLE_LIMIT:
+        return 1, None
+    g = 1
+    while p ** (2 * g + 2) <= DIGIT_TABLE_LIMIT:
+        g += 1
+    digits = _all_tuples(p, g)[:, ::-1]  # row a: a's digits, least significant first
+    tab = (np.mod(digits[:, None] + digits, p) @ p ** np.arange(g, dtype=np.int64)).astype(np.uint8)
+    tab.flags.writeable = False  # the cache hands it to every caller
+    return g, tab
+
+
 def _pair_table(width: int, p: int, signal_keys, n_secrets: int) -> tuple[np.ndarray, ...]:
     """Exact sparse table of the (signal, secret) pairs of a grid of samples.
 
     Row i of the grid holds samples of secret i < ``n_secrets``. A signal is
     ``width`` residues with base-p key sum(value[c] * p**c);
     ``signal_keys(cols, powers)`` returns every sample's key over the slice
-    ``cols`` as a fresh int64 array in row-major order. Chunks of columns,
+    ``cols`` (``powers`` = p**0, p**1, ... for its columns) as a fresh int64
+    array in row-major order, built from digit-sum tables. Chunks of columns,
     from the most significant end, extend the key while it stays below
     2^62; np.unique renumbers it in key order whenever columns remain or it
     has no room left for the secret. Returns the grid of pair keys
@@ -433,11 +452,25 @@ def _edge_oracle(inst: CdsInstance, scheme: LinearScheme, edge: tuple[int, int],
     fs = np.mod(secrets @ f_stack.T, p)  # p^L x 2N
     n_secrets = len(secrets)
 
+    g, table = _digit_sum_table(p)
+
     def signal_keys(cols: slice, powers: np.ndarray) -> np.ndarray:
-        keys = np.empty((n_secrets, len(hz)), dtype=np.int64)
-        for s_idx in range(n_secrets):
-            keys[s_idx] = np.mod(hz[:, cols] + fs[s_idx, cols], p) @ powers
-        return keys.ravel()
+        keys = None
+        for at in reversed(range(cols.start, cols.stop, g)):  # Horner's rule, most significant group first
+            pw = powers[: min(g, cols.stop - at)]
+            a, b = fs[:, at : at + len(pw)] @ pw, hz[:, at : at + len(pw)] @ pw  # the group's key in each part
+            rows = np.int64 if keys is None else np.uint8  # the first gather is the key array
+            if table is None:  # one digit: add, then take p off the sums that reach it
+                part = a[:, None] + b
+                np.subtract(part, p, out=part, where=part >= p)
+            elif n_secrets <= len(b):  # gather the table rows of the smaller part first
+                part = np.take(table[a].astype(rows, copy=False), b, axis=1)  # C order, unlike [:, b]
+            else:
+                part = table[:, b].astype(rows, copy=False)[a]
+            if keys is not None:
+                keys *= p ** g  # every group below the top one has g digits
+            keys = part if keys is None else np.add(keys, part, out=keys)
+        return np.zeros(n_secrets * len(hz), dtype=np.int64) if keys is None else keys.ravel()
 
     grid, pairs, counts, bounds = _pair_table(2 * scheme.N, p, signal_keys, n_secrets)
     secret_of = pairs % n_secrets
@@ -525,6 +558,8 @@ def simulate(inst: CdsInstance, scheme: LinearScheme, seed: int, trials: int) ->
     oracle, not here.
     """
     scheme.check_for_instance(inst)
+    if trials < 0:
+        raise ValueError(f"trial count must be non-negative, got {trials}")
     if trials == 0:
         return SimulationReport(trials=0, seed=seed, edges=())
     rng = np.random.default_rng(seed)

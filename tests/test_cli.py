@@ -91,6 +91,59 @@ def test_verify_entropic_unchecked_edges_fail(capsys):
     assert "--budget" in capsys.readouterr().err
 
 
+def _passes(edges, kind, states):
+    return [{"edge": e, "kind": kind, "status": "pass", "states": states, "detail": "", "counterexample": None} for e in edges]
+
+
+LEAK_DETAIL = "signal pair counts differ across secrets"
+PINNED_FAILURES = {
+    "broken-leaky": _passes([[1, 1]], "qualified", 531441)
+    + _passes([[3, 3]], "qualified", 177147)
+    + _passes([[4, 1]], "qualified", 531441)
+    + _passes([[4, 2], [4, 3]], "qualified", 177147)
+    + _passes([[1, 2]], "unqualified", 1594323)
+    + [
+        {
+            "edge": [3, y],
+            "kind": "unqualified",
+            "status": "fail",
+            "states": 1594323,
+            "detail": LEAK_DETAIL,
+            "counterexample": {
+                "signals": {"A3": [0] * 5, f"B{y}": [0] * 5},
+                "secret_low": [1, 0, 0, 0],
+                "count_low": 0,
+                "secret_high": [0, 0, 0, 0],
+                "count_high": 3,
+            },
+        }
+        for y in (1, 2)
+    ],
+    "broken-garbled": [
+        {
+            "edge": [1, 1],
+            "kind": "qualified",
+            "status": "fail",
+            "states": 531441,
+            "detail": "a signal pair is consistent with more than one secret",
+            "counterexample": {"signals": {"A1": [0] * 5, "B1": [0] * 5}, "secrets": [[0, 0, 0, 0], [1, 0, 0, 1]]},
+        }
+    ]
+    + _passes([[3, 3]], "qualified", 177147)
+    + _passes([[4, 1]], "qualified", 531441)
+    + _passes([[4, 2], [4, 3]], "qualified", 177147)
+    + _passes([[1, 2], [3, 1], [3, 2]], "unqualified", 1594323),
+}
+
+
+@pytest.mark.parametrize("scheme", sorted(PINNED_FAILURES))
+def test_entropic_failures_are_pinned(scheme, capsys):
+    # every edge's status, state count, detail and counterexample: any way of
+    # building the signal keys must reproduce them exactly
+    assert main(["--json", "verify", "fig2", scheme, "--entropic"]) == 1
+    assert json.loads(capsys.readouterr().out)["entropic"] == PINNED_FAILURES[scheme]
+
+
 def test_verify_json_roundtrip(capsys):
     assert main(["--json", "verify", "fig2", "fig2-rate-2-5", "--entropic"]) == 0
     payload = json.loads(capsys.readouterr().out)
@@ -120,6 +173,11 @@ def test_simulate_cli(capsys):
     # one line per qualified edge; unqualified edges are not simulated
     assert lines[0] == "trials = 200" and len(lines) == 6
     assert all(line.endswith("qualified decode frequency 1.000000") for line in lines[1:])
+
+
+def test_simulate_negative_trials_exit_2(capsys):
+    assert main(["simulate", "fig2", "fig2-rate-2-5", "--trials", "-3"]) == 2
+    assert "trial count must be non-negative, got -3" in capsys.readouterr().err
 
 
 def test_catalog_list_and_export(tmp_path, capsys):

@@ -1,5 +1,6 @@
 import itertools
 import json
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -424,10 +425,12 @@ def _oracle_by_enumeration(scheme, kind):
     for sig in sorted(table, key=lambda t: t[::-1]):
         signals = {"A1": list(sig[:N]), "B1": list(sig[N:])}
         per_secret = table[sig]
-        if kind == "qualified" and len(per_secret) > 1:
-            return "fail", states, {"signals": signals, "secrets": [list(secrets[i]) for i in sorted(per_secret)[:2]]}
+        if kind == "qualified":
+            if len(per_secret) > 1:
+                return "fail", states, {"signals": signals, "secrets": [list(secrets[i]) for i in sorted(per_secret)[:2]]}
+            continue
         vec = [per_secret.get(i, 0) for i in range(len(secrets))]
-        if kind == "unqualified" and min(vec) != max(vec):
+        if min(vec) != max(vec):
             lo, hi = vec.index(min(vec)), vec.index(max(vec))
             return "fail", states, {
                 "signals": signals,
@@ -437,6 +440,42 @@ def _oracle_by_enumeration(scheme, kind):
                 "count_high": vec[hi],
             }
     return "pass", states, None
+
+
+def _traced_oracle(kind, scheme):
+    """The oracle's result on the edge A1-B1 and the peak of its traced allocations in bytes."""
+    tracemalloc.start()
+    try:
+        return entropic_oracle_edge(_two_node_instance(kind), scheme, (1, 1)), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def _large_modulus_scheme(p, f_a, h_a, f_b, h_b):
+    f = PrimeField(p)
+    node = lambda sec, noise: (FieldMatrix([[v] for v in sec], f), FieldMatrix([[v] for v in noise], f))  # noqa: E731
+    return LinearScheme(f, 1, 1, len(f_a), {"A1": node(f_a, h_a), "B1": node(f_b, h_b)})
+
+
+@pytest.mark.parametrize(
+    "scheme",
+    [
+        # no noise: the secret is decodable, and it leaks
+        _large_modulus_scheme(10007, [1, 3], [0, 0], [0, 5], [0, 0]),
+        # both signals are s + z: nothing decodes, nothing leaks
+        _large_modulus_scheme(257, [1], [1], [1], [1]),
+        # A1 sends (s + z, 2s + 2z), B1 sends (z, s): the secret is decodable, and it leaks
+        _large_modulus_scheme(257, [1, 2], [1, 2], [0, 1], [1, 0]),
+    ],
+    ids=["p10007-N2", "p257-N1", "p257-N2"],
+)
+@pytest.mark.parametrize("kind", ["qualified", "unqualified"])
+def test_oracle_large_modulus_builds_no_square_table(scheme, kind):
+    # p^2 is above the digit-sum table limit, so the digits are added
+    # arithmetically; a p x p table at p = 10007 would hold 10^8 entries
+    res, peak = _traced_oracle(kind, scheme)
+    assert peak < 64 * 2**20
+    assert (res.status, res.states, res.counterexample) == _oracle_by_enumeration(scheme, kind)
 
 
 @st.composite
@@ -457,6 +496,7 @@ def oracle_edges(draw):
 @example(("unqualified", 2, 2, 2, 32, False, 0))
 @example(("unqualified", 17, 1, 1, 8, True, 0))  # 17^16 >= 2^62, secret masked by noise
 @example(("qualified", 3, 2, 3, 20, True, 1))
+@example(("unqualified", 3, 1, 1, 0, False, 0))  # N = 0: empty signals, no key group
 @settings(max_examples=100, deadline=None)
 def test_oracle_matches_dict_enumeration(edge):
     kind, p, L, L_Z, N, masked, seed = edge
@@ -575,8 +615,10 @@ def test_oracle_counts_sparsely():
     scheme = LinearScheme(f, 16, 2, 17, {"A1": a, "B1": b})
     res = entropic_oracle_edge(_two_node_instance("qualified"), scheme, (1, 1))
     assert res.passed and res.states == 2**18
-    leak = entropic_oracle_edge(_two_node_instance("unqualified"), scheme, (1, 1))
-    assert leak.failed and leak.states == 2**18
+    # 2^16 secrets and 4 noise states: table rows gathered per secret
+    # rather than per noise state would take 128 MiB
+    leak, peak = _traced_oracle("unqualified", scheme)
+    assert leak.failed and leak.states == 2**18 and peak < 64 * 2**20
     assert leak.counterexample["signals"] == {"A1": [0] * 17, "B1": [0] * 17}
 
 
