@@ -70,8 +70,8 @@ class FieldMatrix:
     """Immutable dense matrix over a prime field.
 
     Wraps an int64 numpy array of canonical residues. Supports the handful
-    of operations the rest of the package needs: matmul, addition,
-    subtraction and row selection.
+    of operations the rest of the package needs: matmul, subtraction and
+    row selection.
     """
 
     __slots__ = ("field", "_a")
@@ -134,10 +134,6 @@ class FieldMatrix:
         if self.cols != other.rows:
             raise FieldError(f"shape mismatch for matmul: {self.shape} @ {other.shape}")
         return FieldMatrix(np.mod(self._a @ other._a, self.field.p), self.field)
-
-    def __add__(self, other: "FieldMatrix") -> "FieldMatrix":
-        self._check_same_field(other)
-        return FieldMatrix(np.mod(self._a + other._a, self.field.p), self.field)
 
     def __sub__(self, other: "FieldMatrix") -> "FieldMatrix":
         self._check_same_field(other)

@@ -2,11 +2,11 @@
 
 A scheme assigns every node v a secret precoder F_v (N x L) and a noise
 precoder H_v (N x L_Z); the transmitted signal is F_v S + H_v Z. The linear
-verifier checks, per edge, the alignment conditions on the overlap of the
-two noise row spaces: full-rank secret difference on qualified edges,
-entry-wise equality on unqualified ones. The entropic oracle re-checks the
-same edges by brute-force enumeration of secrets and noise, sharing no code
-path with the linear conditions.
+verifier checks, per edge, the alignment conditions on the combinations of
+the two signals in which the noise cancels: they must carry the whole
+secret on qualified edges and none of it on unqualified ones. The entropic
+oracle re-checks the same edges by brute-force enumeration of secrets and
+noise, sharing no code path with the linear conditions.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import numpy as np
 
 from .fields import FieldError, FieldMatrix, PrimeField
 from .graph import CdsInstance, a_node, b_node, node_key
-from .linalg import batch_rref, residue_rank, rowspace_intersection, rref_with_transform
+from .linalg import batch_rref
 
 
 class SchemeError(ValueError):
@@ -109,6 +109,8 @@ def parse_scheme(text: str) -> LinearScheme:
         if not isinstance(obj.get(key), int) or isinstance(obj.get(key), bool):
             raise SchemeError(f"field '{key}' must be an integer")
     L, L_Z, N = obj["L"], obj["Lz"], obj["N"]
+    if N < 1:
+        raise SchemeError(f"field 'N' must be positive, got {N}")
     try:
         check_field_size(obj["p"], L, L_Z, N)
         fld = PrimeField(obj["p"])
@@ -197,50 +199,35 @@ class VerificationReport:
 def verify_linear(inst: CdsInstance, scheme: LinearScheme) -> VerificationReport:
     """Check the linear feasibility conditions on every edge.
 
-    For each edge {v, u} the overlap of the noise row spaces is identified
-    by coefficient matrices P_v, P_u with P_v H_v = P_u H_u. A qualified
-    edge passes iff rank(P_v F_v - P_u F_u) = L (the overlap must then have
-    dimension >= L, recorded separately as the noise-alignment datum); an
-    unqualified edge passes iff P_v F_v = P_u F_u entry-wise. Each noise
-    precoder must also have full row rank.
+    For each edge {v, u} stack the precoders of its ends as H = [H_v; H_u]
+    and F = [F_v; F_u], and let W be a basis of the left null space of H:
+    the combinations of the two signals in which the noise cancels. A
+    qualified edge passes iff rank(W F) = L, an unqualified one iff W F = 0.
+    Neither test depends on the choice of W, whatever the noise rank, and
+    both are what the entropic oracle counts. The noise row spaces overlap
+    in dimension rank(H_v) + rank(H_u) - rank(H), the noise-alignment datum
+    (at least L on a qualified edge). Each H_v must also have full row rank.
 
-    The checks do not depend on the choice of P when H_v and H_u both have
-    full row rank N: the rows of (P_v | -P_u) are then a basis of the left
-    null space of the stack H = [H_v; H_u], so with W any basis of it the
-    overlap has dimension d = 2N - rank(H) and the difference is W F for
-    F = [F_v; F_u], up to an invertible row transform. The rank identity
-    rank([H | F]) = rank(H) + rank(W F) then gives every edge's checks
-    from one elimination of [H | F] pivoting on the H columns: its rows
-    past rank(H) hold W F. All such edges are reduced together by
-    ``batch_rref``. When an end's noise precoder is rank-deficient, some
-    nonzero (P_v | -P_u) vanish on the noise, and rank(P_v F_v - P_u F_u)
-    depends on which P the intersection picks; such an edge keeps the
-    explicit ``rowspace_intersection``, and its scheme fails noise-rank.
+    By rank([H | F]) = rank(H) + rank(W F), one elimination of [H | F]
+    pivoting on the H columns gives an edge's checks: its rows past rank(H)
+    hold W F. ``batch_rref`` reduces all edges together.
     """
     scheme.check_for_instance(inst)
     p, L, N = scheme.field.p, scheme.L, scheme.N
     nodes = inst.nodes()  # in node_key order
-    f_all = np.array([scheme.f_of(n).array for n in nodes], dtype=np.int64).reshape(len(nodes), N, L)
-    h_all = np.array([scheme.h_of(n).array for n in nodes], dtype=np.int64).reshape(len(nodes), N, scheme.L_Z)
+    edges = list(inst.edges_with_kind())
+    f_all, h_all, ends = _node_arrays(inst, scheme, [e for e, _ in edges])
     node_h = _used_first(h_all, np.arange(len(nodes)), h_all.any(axis=1))
-    noise_rank = batch_rref(node_h, p, node_h.shape[2]).tolist()
+    noise_rank = batch_rref(node_h, p, node_h.shape[2])
     records = [
         CheckRecord(subject=node, kind="noise-rank", passed=r == N, detail=f"rank(H)={r}, N={N}")
-        for node, r in zip(nodes, noise_rank)
+        for node, r in zip(nodes, noise_rank.tolist())
     ]
-    edges = list(inst.edges_with_kind())
-    ends = np.array([(x - 1, inst.a_count + y - 1) for (x, y), _ in edges], dtype=np.intp).reshape(-1, 2)
     qualified = np.array([kind == "qualified" for _, kind in edges], dtype=bool)
-    dims = np.zeros(len(edges), dtype=np.intp)
-    ranks = np.zeros(len(edges), dtype=np.intp)  # rank of the difference, 0 iff it is zero
-    full = (np.array(noise_rank) == N)[ends].all(axis=1)
-    dims[full], ranks[full] = _edge_checks(f_all, h_all, ends[full], qualified[full], p)
-    for e in np.flatnonzero(~full):
-        va, vb = nodes[ends[e, 0]], nodes[ends[e, 1]]
-        inter = rowspace_intersection(scheme.h_of(va), scheme.h_of(vb))
-        dims[e] = inter.basis.rows
-        diff = (inter.p_a @ scheme.f_of(va)) - (inter.p_b @ scheme.f_of(vb))
-        ranks[e] = residue_rank(diff.array, p) if qualified[e] else diff.array.any()
+    h_rank, wf = _edge_checks(f_all, h_all, ends, p)
+    dims = noise_rank[ends].sum(axis=1) - h_rank
+    ranks = wf.any(axis=(1, 2)).astype(np.intp)  # rank of W F, 0 iff it is zero
+    ranks[qualified] = batch_rref(wf[qualified], p, L)
     for ((x, y), kind), d, r in zip(edges, dims.tolist(), ranks.tolist()):
         subject = f"{a_node(x)}-{b_node(y)}"
         if kind == "qualified":
@@ -277,6 +264,15 @@ def verify_linear(inst: CdsInstance, scheme: LinearScheme) -> VerificationReport
     return VerificationReport(tuple(records))
 
 
+def _node_arrays(inst: CdsInstance, scheme: LinearScheme, edges) -> tuple[np.ndarray, ...]:
+    """Every node's F (n x N x L) and H (n x N x L_Z), in ``inst.nodes()``
+    order, and the indices of each edge's (A end, B end) in it."""
+    nodes, N = inst.nodes(), scheme.N
+    f_all = np.array([scheme.f_of(v).array for v in nodes], dtype=np.int64).reshape(len(nodes), N, scheme.L)
+    h_all = np.array([scheme.h_of(v).array for v in nodes], dtype=np.int64).reshape(len(nodes), N, scheme.L_Z)
+    return f_all, h_all, np.array([(x - 1, inst.a_count + y - 1) for x, y in edges], dtype=np.intp).reshape(-1, 2)
+
+
 def _used_first(h_all: np.ndarray, idx: np.ndarray, used: np.ndarray) -> np.ndarray:
     """``h_all[idx]`` with the columns marked in ``used`` first, in order,
     cut at the largest count of marked columns in a row of ``used``. The
@@ -287,25 +283,24 @@ def _used_first(h_all: np.ndarray, idx: np.ndarray, used: np.ndarray) -> np.ndar
 
 
 def _edge_checks(
-    f_all: np.ndarray, h_all: np.ndarray, ends: np.ndarray, qualified: np.ndarray, p: int
+    f_all: np.ndarray, h_all: np.ndarray, ends: np.ndarray, p: int, *extra: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Overlap dimensions and difference ranks of edges whose ends both have
-    full-rank noise; an unqualified edge's rank is only told apart from 0.
-
-    Each edge's 2N x (U + L) stack [H_v | F_v; H_u | F_u] keeps the U noise
-    columns used at either end, gathered straight from the node arrays.
+    """rank(H) of every edge, and its stack [H | F | X...] reduced on the
+    noise columns, less those columns and with the rows above rank(H)
+    zeroed: the rows left hold W F (and W X for each extra E x 2N x k block
+    X), W a basis of the left null space of H. Each edge's 2N x U noise
+    stack keeps the U noise columns used at either end, gathered straight
+    from the node arrays.
     """
     N, L = f_all.shape[1:]
     used = h_all.any(axis=1)[ends].any(axis=1)
     h_stack = np.concatenate([_used_first(h_all, ends[:, 0], used), _used_first(h_all, ends[:, 1], used)], axis=1)
     U = h_stack.shape[2]
-    stack = np.concatenate([h_stack, f_all[ends].reshape(len(ends), 2 * N, L)], axis=2)
+    stack = np.concatenate([h_stack, f_all[ends].reshape(len(ends), 2 * N, L), *extra], axis=2)
     h_rank = batch_rref(stack, p, U)
-    wf = stack[:, :, U:]
-    wf[np.arange(2 * N) < h_rank[:, None]] = 0
-    ranks = wf.any(axis=(1, 2)).astype(np.intp)
-    ranks[qualified] = batch_rref(wf[qualified], p, L)
-    return 2 * N - h_rank, ranks
+    rest = stack[:, :, U:]
+    rest[np.arange(2 * N) < h_rank[:, None]] = 0
+    return h_rank, rest
 
 
 # -- entropic oracle ------------------------------------------------------------
@@ -387,7 +382,8 @@ def _pair_table(width: int, p: int, signal_keys, n_secrets: int) -> tuple[np.nda
         while start > 0 and bound * p ** (stop - start + 1) < 2**62:
             start -= 1
         chunk = signal_keys(slice(start, stop), p ** np.arange(stop - start, dtype=np.int64))
-        chunk += key * p ** (stop - start)
+        if bound > 1:  # else key is 0
+            chunk += key * p ** (stop - start)
         key, bound, stop = chunk, bound * p ** (stop - start), start
         if stop == 0 and bound * n_secrets < 2**62:
             break
@@ -551,11 +547,13 @@ class SimulationReport:
 def simulate(inst: CdsInstance, scheme: LinearScheme, seed: int, trials: int) -> SimulationReport:
     """Monte Carlo smoke test: sample (S, Z) and decode on every qualified edge.
 
-    Deterministic under the seed. On a scheme passing the linear verifier,
-    qualified decode frequency is exactly 1.0; the decoder inverts the
-    full-rank secret difference on the noise overlap. Secrecy on
-    unqualified edges is checked by ``verify_linear`` and the entropic
-    oracle, not here.
+    Deterministic under the seed. An edge is decodable iff rank(W F) = L,
+    the linear verifier's qualified check; one ``batch_rref`` of every
+    edge's [W F | W] on its L columns then leaves [I_L | D] in its first L
+    rows, with D F = I_L and D H = 0 for the stacked precoders of its ends,
+    so D maps the pair's signals to the secret on every trial. An edge that
+    is not decodable counts no success. Secrecy on unqualified edges is
+    checked by ``verify_linear`` and the entropic oracle, not here.
     """
     scheme.check_for_instance(inst)
     if trials < 0:
@@ -563,23 +561,23 @@ def simulate(inst: CdsInstance, scheme: LinearScheme, seed: int, trials: int) ->
     if trials == 0:
         return SimulationReport(trials=0, seed=seed, edges=())
     rng = np.random.default_rng(seed)
-    p = scheme.field.p
-    s_draws = rng.integers(0, p, size=(trials, scheme.L), dtype=np.int64)
+    p, L, N = scheme.field.p, scheme.L, scheme.N
+    s_draws = rng.integers(0, p, size=(trials, L), dtype=np.int64)
     z_draws = rng.integers(0, p, size=(trials, scheme.L_Z), dtype=np.int64)
-    sims: list[EdgeSimulation] = []
-    for x, y in sorted(inst.qualified):
-        va, vb = a_node(x), b_node(y)
-        inter = rowspace_intersection(scheme.h_of(va), scheme.h_of(vb))
-        diff = (inter.p_a @ scheme.f_of(va)) - (inter.p_b @ scheme.f_of(vb))
-        _, t, pivots = rref_with_transform(diff)
-        if len(pivots) < scheme.L:
-            sims.append(EdgeSimulation((x, y), "qualified", trials, 0, False))
-            continue
-        sig_a = np.mod(s_draws @ scheme.f_of(va).array.T + z_draws @ scheme.h_of(va).array.T, p)
-        sig_b = np.mod(s_draws @ scheme.f_of(vb).array.T + z_draws @ scheme.h_of(vb).array.T, p)
-        decoder = t.array[: scheme.L]  # T @ diff == [I_L; 0]
-        obs = np.mod(sig_a @ inter.p_a.array.T - sig_b @ inter.p_b.array.T, p)
-        decoded = np.mod(obs @ decoder.T, p)
-        successes = int(np.all(decoded == s_draws, axis=1).sum())
-        sims.append(EdgeSimulation((x, y), "qualified", trials, successes, True))
+    edges = sorted(inst.qualified)
+    f_all, h_all, ends = _node_arrays(inst, scheme, edges)
+    eye = np.broadcast_to(np.eye(2 * N, dtype=np.int64), (len(edges), 2 * N, 2 * N))
+    _, wf_w = _edge_checks(f_all, h_all, ends, p, eye)
+    decodable = batch_rref(wf_w, p, L) == L
+    signals = np.concatenate([f_all, h_all], axis=2) @ np.concatenate([s_draws, z_draws], axis=1).T
+    signals %= p  # n x N x trials
+    ok_ends = ends[decodable]
+    decoded = wf_w[decodable, :L, L:] @ signals[ok_ends].reshape(len(ok_ends), 2 * N, trials)
+    decoded %= p  # D applied to each pair's signals
+    successes = np.zeros(len(edges), dtype=np.int64)
+    successes[decodable] = (decoded == s_draws.T).all(axis=1).sum(axis=1)
+    sims = [
+        EdgeSimulation(edge, "qualified", trials, n, ok)
+        for edge, n, ok in zip(edges, successes.tolist(), decodable.tolist())
+    ]
     return SimulationReport(trials=trials, seed=seed, edges=tuple(sims))

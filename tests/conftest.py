@@ -88,8 +88,10 @@ def small_scheme_corpus(min_size: int = 50):
     """Positive, negative and perturbed oracle-checkable schemes.
 
     Every noise precoder has full row rank, which the linear/entropic
-    equivalence requires (a rank-deficient H_v whose dependent secret rows
-    also cancel is entropically fine but fails the noise-rank record).
+    equivalence of the *overall* verdict requires: a rank-deficient H_v
+    whose dependent secret rows also cancel is entropically fine but fails
+    the noise-rank record. Edge by edge, the two verifiers agree whatever
+    the noise rank.
     """
     corpus: list[tuple[cc.CdsInstance, object, str]] = []
     for name in ("fig2-rate-2-5", "broken-leaky", "broken-garbled"):

@@ -180,6 +180,54 @@ def test_simulate_negative_trials_exit_2(capsys):
     assert "trial count must be non-negative, got -3" in capsys.readouterr().err
 
 
+def _tiny_files(tmp_path, scheme):
+    """A 2x1 instance with both edges qualified, and ``scheme`` on it."""
+    inst = tmp_path / "tiny.json"
+    tiny = cc.CdsInstance("tiny", 2, 1, frozenset({(1, 1), (2, 1)}), frozenset())
+    inst.write_text(cc.serialize_instance(tiny), encoding="utf-8")
+    path = tmp_path / "scheme.json"
+    path.write_text(json.dumps(scheme), encoding="utf-8")
+    return str(inst), str(path)
+
+
+def test_zero_n_exits_2(tmp_path, capsys):
+    nodes = {node: {"F": [], "H": []} for node in ("A1", "A2", "B1")}
+    inst, scheme = _tiny_files(tmp_path, {"p": 3, "L": 1, "Lz": 1, "N": 0, "nodes": nodes})
+    for cmd in ("verify", "simulate"):
+        assert main([cmd, inst, scheme]) == 2
+        assert capsys.readouterr().err == "error: field 'N' must be positive, got 0\n"
+
+
+# L = 0: there is no secret to miss, so every edge decodes
+NO_SECRET = {"p": 2, "L": 0, "Lz": 1, "N": 1, "nodes": {v: {"F": [[]], "H": [[1]]} for v in ("A1", "A2", "B1")}}
+# L_Z = 0: A1 sends s, A2 and B1 send 0, so only the pair A1-B1 reveals s
+NO_NOISE = {
+    "p": 3,
+    "L": 1,
+    "Lz": 0,
+    "N": 1,
+    "nodes": {v: {"F": [[f]], "H": [[]]} for v, f in (("A1", 1), ("A2", 0), ("B1", 0))},
+}
+
+
+@pytest.mark.parametrize("scheme, successes", [(NO_SECRET, [7, 7]), (NO_NOISE, [7, 0])], ids=["no-secret", "no-noise"])
+def test_simulate_without_secret_or_noise_is_pinned(tmp_path, capsys, scheme, successes):
+    inst, path = _tiny_files(tmp_path, scheme)
+    assert main(["--json", "simulate", inst, path, "--trials", "7", "--seed", "1"]) == 0
+    edges = [
+        {
+            "edge": [x, 1],
+            "kind": "qualified",
+            "trials": 7,
+            "decode_successes": n,
+            "decodable": n == 7,
+            "success_frequency": n / 7,
+        }
+        for x, n in zip((1, 2), successes)
+    ]
+    assert json.loads(capsys.readouterr().out) == {"trials": 7, "seed": 1, "edges": edges}
+
+
 def test_catalog_list_and_export(tmp_path, capsys):
     assert main(["catalog", "list"]) == 0
     out = capsys.readouterr().out
@@ -386,7 +434,8 @@ def test_verify_output_is_pinned(tmp_path, capsys):
     # catalog instance/scheme pair (mismatched pairs exit 2) and on the
     # synthesized schemes of seeded 3-4 component unions, each also with a
     # bumped secret entry and with a rank-deficient noise precoder; pinned
-    # from the per-edge rowspace-intersection verifier
+    # from the verifier that checks every edge as rank(W F), W a basis of
+    # the left null space of the edge's noise stack, whatever its rank
     calls = [[inst, name] for inst in cc.catalog.INSTANCE_NAMES for name in cc.catalog.SCHEME_NAMES]
     for i, (inst, scheme) in enumerate(_synthesized_unions()):
         inst_path = tmp_path / f"union{i}.json"
@@ -401,4 +450,4 @@ def test_verify_output_is_pinned(tmp_path, capsys):
         codes.append(main(["--json", "verify", inst, scheme]))
         h.update(f"{codes[-1]}\0{capsys.readouterr().out}\0".encode())
     assert codes.count(0) >= 4 and codes.count(1) >= 8 and codes.count(2) >= 1
-    assert h.hexdigest() == "d9dd078717662e92c106a566e169bf98f27958a96c49014a7c3900ec0982ad48"
+    assert h.hexdigest() == "4c8aabe51e25c6fd64d78e678495a465f74b1be42dbd49661a56f5e08c5254bb"

@@ -73,7 +73,7 @@ def test_shape_and_field_mismatch():
     with pytest.raises(FieldError):
         a @ FieldMatrix([[1, 2]], f)
     with pytest.raises(FieldError):
-        a + FieldMatrix([[1, 2]], PrimeField(7))
+        a - FieldMatrix([[1, 2]], PrimeField(7))
 
 
 def test_empty_matrix_needs_cols():

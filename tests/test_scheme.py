@@ -10,7 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 import cdscover as cc
 from cdscover.fields import FieldMatrix, PrimeField
 from cdscover.graph import CdsInstance, a_node, b_node
-from cdscover.linalg import residue_rank, rowspace_intersection
+from cdscover.linalg import nullspace, residue_rank
 from cdscover.scheme import (
     DEFAULT_ORACLE_BUDGET,
     CheckRecord,
@@ -72,7 +72,11 @@ def test_serialize_scheme_is_json_dumps_indent_2(s):
     obj = {"name": s.name, "p": s.field.p, "L": s.L, "Lz": s.L_Z, "N": s.N, "nodes": nodes}
     text = serialize_scheme(s)
     assert text == json.dumps(obj, indent=2) + "\n"
-    assert parse_scheme(text) == s
+    if s.N < 1:  # written, but refused on reading
+        with pytest.raises(SchemeError, match="field 'N' must be positive, got 0"):
+            parse_scheme(text)
+    else:
+        assert parse_scheme(text) == s
 
 
 def test_parse_scheme_errors():
@@ -98,6 +102,9 @@ def test_parse_scheme_errors():
     for name in (["n", {"k": [1]}], 7, None):
         with pytest.raises(SchemeError, match="field 'name' must be a string"):
             parse_scheme(json.dumps({"name": name, "p": 3, "L": 1, "Lz": 1, "N": 1, "nodes": {}}))
+    for n in (0, -2):
+        with pytest.raises(SchemeError, match=rf"^field 'N' must be positive, got {n}$"):
+            parse_scheme(json.dumps({"p": 3, "L": 1, "Lz": 1, "N": n, "nodes": {}}))
 
 
 def test_field_size_guard_keeps_products_exact():
@@ -183,8 +190,10 @@ def test_verify_flags_rank_deficient_noise():
 
 
 def _reference_verify(inst, scheme):
-    """The linear verifier edge by edge: one rowspace_intersection per edge,
-    then the rank of P_v F_v - P_u F_u, or its zero test."""
+    """The linear verifier edge by edge, with no batched elimination: W a
+    basis of the left null space of the noise stack H (the null space of
+    H^T), then the rank of W F, or its zero test; the overlap dimension is
+    rank(H_v) + rank(H_u) - rank(H)."""
     p, L, N = scheme.field.p, scheme.L, scheme.N
     records = []
     for node in inst.nodes():
@@ -192,16 +201,18 @@ def _reference_verify(inst, scheme):
         records.append(CheckRecord(node, "noise-rank", r == N, detail=f"rank(H)={r}, N={N}"))
     for (x, y), kind in inst.edges_with_kind():
         va, vb = a_node(x), b_node(y)
-        inter = rowspace_intersection(scheme.h_of(va), scheme.h_of(vb))
-        d = inter.basis.rows
-        diff = (inter.p_a @ scheme.f_of(va)) - (inter.p_b @ scheme.f_of(vb))
+        h_v, h_u = scheme.h_of(va).array, scheme.h_of(vb).array
+        h = np.vstack([h_v, h_u])
+        w = nullspace(FieldMatrix(h.T, scheme.field)).array
+        wf = np.mod(w @ np.vstack([scheme.f_of(va).array, scheme.f_of(vb).array]), p)
+        d = residue_rank(h_v, p) + residue_rank(h_u, p) - residue_rank(h, p)
         subject = f"{va}-{vb}"
         if kind == "qualified":
-            r = residue_rank(diff.array, p)
+            r = residue_rank(wf, p)
             records.append(CheckRecord(subject, "qualified", r == L, d, f"rank(PvFv - PuFu)={r}, L={L}"))
             records.append(CheckRecord(subject, "noise-alignment", d >= L, d, f"overlap dim {d} vs L={L}"))
         else:
-            ok = diff.is_zero()
+            ok = not wf.any()
             detail = f"secret projections {'agree' if ok else 'differ'} on the noise overlap"
             records.append(CheckRecord(subject, "unqualified", ok, d, detail))
     return VerificationReport(tuple(records))
@@ -537,12 +548,14 @@ def test_pair_table_keys_never_wrap(width):
 
 @st.composite
 def oracle_schemes(draw):
-    """(instance, scheme) on at most 3x3 nodes with full-rank noise precoders.
+    """(instance, scheme) on at most 3x3 nodes.
 
     Each node takes one of a_count + b_count precoder pairs, so some edges
-    join nodes that share a pair. Secret precoders are random, zero, or
-    masked by the noise (F = H @ mix), so that both kinds of edge pass as
-    well as fail.
+    join nodes that share a pair. A noise precoder has full row rank, or
+    has a random multiple of its first row copied onto its last, which
+    makes it rank-deficient when N > 1 or the multiple is 0. Secret
+    precoders are random, zero, or masked by the noise (F = H @ mix), so
+    that both kinds of edge pass as well as fail.
     """
     p = draw(st.sampled_from((2, 3, 5)))
     L, N = draw(st.integers(1, 2)), draw(st.integers(1, 3))
@@ -563,14 +576,16 @@ def oracle_schemes(draw):
     nodes = inst.nodes()
     pool = []
     for secret in draw(st.lists(st.sampled_from(("random", "zero", "masked")), min_size=len(nodes), max_size=len(nodes))):
-        h = random_full_rank_h(rng, field, N, L_Z)
+        h = random_full_rank_h(rng, field, N, L_Z).array.copy()
+        if draw(st.booleans()):
+            h[-1] = h[0] * rng.integers(0, p) % p
         if secret == "random":
             f = random_matrix(N, L, field, rng)
         elif secret == "zero":
             f = zeros(N, L, field)
         else:
-            f = FieldMatrix(h.array @ mix, field)
-        pool.append((f, h))
+            f = FieldMatrix(h @ mix, field)
+        pool.append((f, FieldMatrix(h, field)))
     picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=len(nodes), max_size=len(nodes)))
     return inst, LinearScheme(field, L, L_Z, N, {node: pool[i] for node, i in zip(nodes, picks)})
 
@@ -578,6 +593,8 @@ def oracle_schemes(draw):
 @given(oracle_schemes())
 @settings(max_examples=60, deadline=None)
 def test_linear_verifier_matches_oracle_per_edge(drawn):
+    # edge by edge, whatever the noise rank: the linear verdicts, and the
+    # decodability that simulate finds on qualified edges
     inst, scheme = drawn
     assert scheme.field.p ** (scheme.L + scheme.L_Z) <= DEFAULT_ORACLE_BUDGET
     linear = {
@@ -586,6 +603,33 @@ def test_linear_verifier_matches_oracle_per_edge(drawn):
     oracle = entropic_oracle_all(inst, scheme)
     assert all(r.status in ("pass", "fail") for r in oracle)
     assert {f"A{r.edge[0]}-B{r.edge[1]}": r.passed for r in oracle} == linear
+    sim = simulate(inst, scheme, seed=0, trials=20)
+    assert [(e.edge, e.decodable) for e in sim.edges] == [(r.edge, r.passed) for r in oracle if r.kind == "qualified"]
+    assert all(e.decode_successes == (20 if e.decodable else 0) for e in sim.edges)
+
+
+@pytest.mark.parametrize("kind", ["qualified", "unqualified"])
+def test_rank_deficient_noise_edge_matches_oracle(kind):
+    # A1 sends (z1, s) and B1 sends (z1, z2), so A1's noise has rank 1 < N;
+    # the pair's noise-free combinations are its second signal and the sum
+    # of the two first ones, and W F = [1; 0] reveals s
+    f = PrimeField(2)
+    a1 = (FieldMatrix([[0], [1]], f), FieldMatrix([[1, 0], [0, 0]], f))
+    scheme = LinearScheme(f, 1, 2, 2, {"A1": a1, "B1": (zeros(2, 1, f), identity(2, f))})
+    inst = _two_node_instance(kind)
+    report = verify_linear(inst, scheme)
+    edge = {r.kind: r for r in report.records if r.subject == "A1-B1"}
+    assert [r.subject for r in report.failures()] == ["A1"] + ["A1-B1"] * (kind == "unqualified")
+    oracle = entropic_oracle_edge(inst, scheme, (1, 1))
+    if kind == "qualified":
+        assert oracle.passed
+        assert (edge["qualified"].passed, edge["qualified"].detail) == (True, "rank(PvFv - PuFu)=1, L=1")
+        assert (edge["noise-alignment"].passed, edge["noise-alignment"].overlap_dim) == (True, 1)
+        (sim,) = simulate(inst, scheme, seed=0, trials=50).edges
+        assert sim.decodable and sim.success_frequency == 1.0
+    else:
+        assert oracle.failed
+        assert edge["unqualified"].detail == "secret projections differ on the noise overlap"
 
 
 def test_oracle_all_checks_the_scheme_once(monkeypatch):
