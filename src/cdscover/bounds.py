@@ -196,6 +196,8 @@ def random_scheme_search(
     has passed verify_linear; None after budget exhaustion proves nothing.
     A modulus too large for exact int64 products raises FieldError.
     """
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
     if L < 1 or N < 1 or L_Z < 1 or budget < 0:
         raise ValueError("L, N, L_Z must be positive and budget non-negative")
     check_field_size(p, L, L_Z, N)

@@ -366,22 +366,27 @@ def _pair_table(width: int, p: int, signal_keys, n_secrets: int) -> tuple[np.nda
 
     Row i of the grid holds samples of secret i < ``n_secrets``. A signal is
     ``width`` residues with base-p key sum(value[c] * p**c);
-    ``signal_keys(cols, powers)`` returns every sample's key over the slice
-    ``cols`` (``powers`` = p**0, p**1, ... for its columns) as a fresh int64
-    array in row-major order, built from digit-sum tables. Chunks of columns,
+    ``signal_keys(cols, powers, dtype)`` returns every sample's key over the
+    slice ``cols`` (``powers`` = p**0, p**1, ... for its columns) as a fresh
+    array in row-major order, built from digit-sum tables, in ``dtype`` or
+    int64. The keys are uint32 when every pair key fits, that is when
+    p**width * n_secrets <= 2^32, and int64 otherwise. Chunks of columns,
     from the most significant end, extend the key while it stays below
     2^62; np.unique renumbers it in key order whenever columns remain or it
-    has no room left for the secret. Returns the grid of pair keys
-    signal * n_secrets + secret, the distinct pair keys in increasing order
-    with their counts, and the index of each signal's first pair followed
-    by the number of pairs.
+    has no room left for the secret. One sort of the grid of pair keys
+    signal * n_secrets + secret then gives the distinct pair keys in
+    increasing order, as the starts of its runs, and their counts, as the
+    run lengths. Returns the grid, the distinct pair keys with their
+    counts, and the index of each signal's first pair followed by the
+    number of pairs.
     """
+    dtype = np.uint32 if p**width * n_secrets <= 2**32 else np.int64
     key, bound, stop = 0, 1, width  # key < bound
     while True:
         start = max(stop - 1, 0)
         while start > 0 and bound * p ** (stop - start + 1) < 2**62:
             start -= 1
-        chunk = signal_keys(slice(start, stop), p ** np.arange(stop - start, dtype=np.int64))
+        chunk = signal_keys(slice(start, stop), p ** np.arange(stop - start, dtype=np.int64), dtype)
         if bound > 1:  # else key is 0
             chunk += key * p ** (stop - start)
         key, bound, stop = chunk, bound * p ** (stop - start), start
@@ -391,8 +396,13 @@ def _pair_table(width: int, p: int, signal_keys, n_secrets: int) -> tuple[np.nda
         bound = len(uniq)
     grid = key.reshape(n_secrets, -1)
     grid *= n_secrets
-    grid += np.arange(n_secrets)[:, None]
-    pairs, counts = np.unique(grid, return_counts=True)
+    grid += np.arange(n_secrets, dtype=grid.dtype)[:, None]
+    srt = np.sort(grid, axis=None)
+    first = np.empty(srt.size, dtype=bool)
+    first[:1] = True
+    np.not_equal(srt[1:], srt[:-1], out=first[1:])
+    first = np.flatnonzero(first)
+    pairs, counts = srt[first], np.diff(np.append(first, srt.size))
     signal = pairs // n_secrets
     return grid, pairs, counts, np.flatnonzero(np.concatenate(([True], signal[1:] != signal[:-1], [True])))
 
@@ -450,12 +460,12 @@ def _edge_oracle(inst: CdsInstance, scheme: LinearScheme, edge: tuple[int, int],
 
     g, table = _digit_sum_table(p)
 
-    def signal_keys(cols: slice, powers: np.ndarray) -> np.ndarray:
+    def signal_keys(cols: slice, powers: np.ndarray, dtype: type) -> np.ndarray:
         keys = None
         for at in reversed(range(cols.start, cols.stop, g)):  # Horner's rule, most significant group first
             pw = powers[: min(g, cols.stop - at)]
             a, b = fs[:, at : at + len(pw)] @ pw, hz[:, at : at + len(pw)] @ pw  # the group's key in each part
-            rows = np.int64 if keys is None else np.uint8  # the first gather is the key array
+            rows = dtype if keys is None else np.uint8  # the first gather is the key array
             if table is None:  # one digit: add, then take p off the sums that reach it
                 part = a[:, None] + b
                 np.subtract(part, p, out=part, where=part >= p)
@@ -466,7 +476,7 @@ def _edge_oracle(inst: CdsInstance, scheme: LinearScheme, edge: tuple[int, int],
             if keys is not None:
                 keys *= p ** g  # every group below the top one has g digits
             keys = part if keys is None else np.add(keys, part, out=keys)
-        return np.zeros(n_secrets * len(hz), dtype=np.int64) if keys is None else keys.ravel()
+        return np.zeros(n_secrets * len(hz), dtype=dtype) if keys is None else keys.ravel()
 
     grid, pairs, counts, bounds = _pair_table(2 * scheme.N, p, signal_keys, n_secrets)
     secret_of = pairs % n_secrets
@@ -505,6 +515,8 @@ def entropic_oracle_all(
 
 
 # -- simulation -----------------------------------------------------------------
+
+SIMULATE_BLOCK = 2**14  # trials decoded at once
 
 
 @dataclass(frozen=True)
@@ -552,10 +564,14 @@ def simulate(inst: CdsInstance, scheme: LinearScheme, seed: int, trials: int) ->
     edge's [W F | W] on its L columns then leaves [I_L | D] in its first L
     rows, with D F = I_L and D H = 0 for the stacked precoders of its ends,
     so D maps the pair's signals to the secret on every trial. An edge that
-    is not decodable counts no success. Secrecy on unqualified edges is
-    checked by ``verify_linear`` and the entropic oracle, not here.
+    is not decodable counts no success. S and Z are drawn for all trials at
+    once; the signals are computed and decoded in blocks of at most
+    ``SIMULATE_BLOCK`` trials. Secrecy on unqualified edges is checked by
+    ``verify_linear`` and the entropic oracle, not here.
     """
     scheme.check_for_instance(inst)
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
     if trials < 0:
         raise ValueError(f"trial count must be non-negative, got {trials}")
     if trials == 0:
@@ -569,13 +585,16 @@ def simulate(inst: CdsInstance, scheme: LinearScheme, seed: int, trials: int) ->
     eye = np.broadcast_to(np.eye(2 * N, dtype=np.int64), (len(edges), 2 * N, 2 * N))
     _, wf_w = _edge_checks(f_all, h_all, ends, p, eye)
     decodable = batch_rref(wf_w, p, L) == L
-    signals = np.concatenate([f_all, h_all], axis=2) @ np.concatenate([s_draws, z_draws], axis=1).T
-    signals %= p  # n x N x trials
-    ok_ends = ends[decodable]
-    decoded = wf_w[decodable, :L, L:] @ signals[ok_ends].reshape(len(ok_ends), 2 * N, trials)
-    decoded %= p  # D applied to each pair's signals
+    precoders = np.concatenate([f_all, h_all], axis=2)
+    ok_ends, decoder = ends[decodable], wf_w[decodable, :L, L:]
     successes = np.zeros(len(edges), dtype=np.int64)
-    successes[decodable] = (decoded == s_draws.T).all(axis=1).sum(axis=1)
+    for at in range(0, trials, SIMULATE_BLOCK):
+        s_block = s_draws[at : at + SIMULATE_BLOCK]
+        signals = precoders @ np.concatenate([s_block, z_draws[at : at + SIMULATE_BLOCK]], axis=1).T
+        signals %= p  # n x N x block
+        decoded = decoder @ signals[ok_ends].reshape(len(ok_ends), 2 * N, len(s_block))
+        decoded %= p  # D applied to each pair's signals
+        successes[decodable] += (decoded == s_block.T).all(axis=1).sum(axis=1)
     sims = [
         EdgeSimulation(edge, "qualified", trials, n, ok)
         for edge, n, ok in zip(edges, successes.tolist(), decodable.tolist())

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -178,6 +179,52 @@ def test_simulate_cli(capsys):
 def test_simulate_negative_trials_exit_2(capsys):
     assert main(["simulate", "fig2", "fig2-rate-2-5", "--trials", "-3"]) == 2
     assert "trial count must be non-negative, got -3" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["search", "fig2", "--p", "3", "--L", "1", "--N", "2", "--Lz", "3"],
+        # N > L_Z: refused before the search gives up without a draw
+        ["search", "fig2", "--p", "3", "--L", "1", "--N", "5", "--Lz", "3"],
+        # no trials: refused before the empty report
+        ["simulate", "fig2", "fig2-rate-2-5", "--trials", "0"],
+        ["simulate", "fig2", "fig2-rate-2-5", "--trials", "3"],
+    ],
+    ids=["search", "search-N-above-Lz", "simulate-0-trials", "simulate"],
+)
+def test_negative_seed_exits_2(argv, capsys):
+    assert main(argv + ["--seed", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "error: seed must be non-negative, got -1\n")
+
+
+def test_simulate_100k_trials_is_pinned_and_bounded(capsys):
+    # seven blocks of trials; drawing all of S and Z and decoding them at
+    # once peaked at 222.8 MiB of traced allocations
+    tracemalloc.start()
+    try:
+        assert main(["--json", "simulate", "fig8", "fig8-rate-7-18", "--trials", "100000", "--seed", "0"]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 80 * 2**20
+    edges = [(1, 1), (2, 1), (2, 2), (3, 1), (3, 2), (3, 3), (4, 3), (4, 4)]
+    assert json.loads(capsys.readouterr().out) == {
+        "trials": 100000,
+        "seed": 0,
+        "edges": [
+            {
+                "edge": [x, y],
+                "kind": "qualified",
+                "trials": 100000,
+                "decode_successes": 100000,
+                "decodable": True,
+                "success_frequency": 1.0,
+            }
+            for x, y in edges
+        ],
+    }
 
 
 def _tiny_files(tmp_path, scheme):

@@ -526,24 +526,60 @@ def test_oracle_matches_dict_enumeration(edge):
     assert (res.status, res.states, res.counterexample) == _oracle_by_enumeration(scheme, kind)
 
 
+def _assert_pair_table_matches_tally(width, p, n_secrets, rows):
+    """``_pair_table`` on ``rows`` (an equal share of samples per secret, in
+    secret order, keyed in uint32 where every pair key fits) against a dict
+    tally of (signal, secret) pairs; returns the grid."""
+    dtype = np.uint32 if p**width * n_secrets <= 2**32 else np.int64
+    grid, pairs, counts, bounds = _pair_table(
+        width, p, lambda cols, pw, dt: (rows[:, cols] @ pw).astype(dt), n_secrets
+    )
+    assert grid.dtype == pairs.dtype == dtype
+    signal_of = {int(k) // n_secrets: tuple(row) for k, row in zip(grid.ravel(), rows.tolist())}
+    got = [(signal_of[int(k) // n_secrets], int(k) % n_secrets, int(c)) for k, c in zip(pairs, counts)]
+    tally = {}
+    for row, sec in zip(rows.tolist(), np.repeat(np.arange(n_secrets), len(rows) // n_secrets).tolist()):
+        tally[tuple(row), sec] = tally.get((tuple(row), sec), 0) + 1
+    key = lambda item: (sum(v * p**c for c, v in enumerate(item[0][0])), item[0][1])  # noqa: E731
+    assert got == [(row, sec, c) for (row, sec), c in sorted(tally.items(), key=key)]
+    assert bounds.tolist() == [i for i in range(len(got) + 1) if i in (0, len(got)) or got[i][0] != got[i - 1][0]]
+    return grid
+
+
 @pytest.mark.parametrize("width", [1, 2, 3, 5])
 def test_pair_table_keys_never_wrap(width):
     # from width 2 on, p^width times the secret count overflows a single
     # int64 key: at width 2 only the room for the secret is missing
     p = 2**31 - 1
-    n_secrets = 3
     rng = np.random.default_rng(width)
     pool = rng.integers(0, p, size=(6, width))
     rows = pool[rng.integers(0, 6, size=60)]  # 20 samples of each secret, in secret order
-    grid, pairs, counts, bounds = _pair_table(width, p, lambda cols, pw: rows[:, cols] @ pw, n_secrets)
-    signal_of = {int(k) // n_secrets: tuple(row) for k, row in zip(grid.ravel(), rows.tolist())}
-    got = [(signal_of[int(k) // n_secrets], int(k) % n_secrets, int(c)) for k, c in zip(pairs, counts)]
-    tally = {}
-    for row, sec in zip(rows.tolist(), np.repeat(np.arange(n_secrets), 20).tolist()):
-        tally[tuple(row), sec] = tally.get((tuple(row), sec), 0) + 1
-    key = lambda item: (sum(v * p**c for c, v in enumerate(item[0][0])), item[0][1])  # noqa: E731
-    assert got == [(row, sec, c) for (row, sec), c in sorted(tally.items(), key=key)]
-    assert bounds.tolist() == [i for i in range(len(got) + 1) if i in (0, len(got)) or got[i][0] != got[i - 1][0]]
+    _assert_pair_table_matches_tally(width, p, 3, rows)
+
+
+@given(
+    st.sampled_from([2, 3, 5, 17, 257]),
+    st.integers(0, 40),
+    st.integers(1, 5),
+    st.integers(1, 12),
+    st.integers(0, 2**32 - 1),
+)
+@example(2, 30, 4, 3, 0)  # pair range exactly 2^32: uint32
+@example(2, 32, 1, 3, 0)  # largest key 2^32 - 1: uint32
+@example(2, 31, 4, 3, 0)  # pair range 2^33: int64
+@settings(max_examples=100, deadline=None)
+def test_pair_table_matches_dict_tally(p, width, n_secrets, per_secret, seed):
+    # samples drawn from a small pool, so that pairs repeat; the pool holds
+    # the largest signal, and the last secret sees it, so the largest pair
+    # key p^width * n_secrets - 1 is reached where it is not renumbered
+    rng = np.random.default_rng(seed)
+    pool = rng.integers(0, p, size=(4, width))
+    pool[0] = p - 1
+    picks = rng.integers(0, len(pool), size=n_secrets * per_secret)
+    picks[-1] = 0
+    grid = _assert_pair_table_matches_tally(width, p, n_secrets, pool[picks])
+    if p**width * n_secrets < 2**62:
+        assert int(grid.max()) == p**width * n_secrets - 1
 
 
 @st.composite
@@ -643,6 +679,20 @@ def test_oracle_all_checks_the_scheme_once(monkeypatch):
     assert len(checked) == 2
     with pytest.raises(SchemeError, match="lacks precoders"):
         cc.entropic_oracle_all(cc.catalog.builtin_instance("fig8"), scheme)
+
+
+def test_oracle_peak_memory_on_fig2():
+    # 1,594,323 states per unqualified edge, keyed in uint32: the int64
+    # keys and np.unique's counts peaked at 39.6 MiB
+    inst = cc.catalog.builtin_instance("fig2")
+    tracemalloc.start()
+    try:
+        results = entropic_oracle_all(inst, cc.catalog.builtin_scheme("fig2-rate-2-5"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert all(r.passed for r in results) and len(results) == 8
+    assert peak < 34 * 2**20
 
 
 def test_oracle_counts_sparsely():
