@@ -2,9 +2,11 @@
 """Regenerate the pinned scheme fixtures under src/cdscover/data.
 
 Usage: ``python scripts/build_fixtures.py [OUTPUT_DIR]``; the output
-directory defaults to the package data directory. Every construction here
-is deterministic (fixed seeds, fixed structures), so rerunning the script
-reproduces the committed files byte for byte. Each fixture is re-verified
+directory defaults to the package data directory. It must be an existing
+directory: anything else is refused with exit status 2 before any fixture
+is built. Every construction here is deterministic (fixed seeds, fixed
+structures), so rerunning the script reproduces the committed files byte
+for byte. Each fixture is re-verified
 before being written; the script refuses to write anything that fails its
 checks.
 """
@@ -360,4 +362,8 @@ def main(out: Path = DATA) -> None:
 
 
 if __name__ == "__main__":
-    main(Path(sys.argv[1]) if len(sys.argv) > 1 else DATA)
+    out = Path(sys.argv[1]) if len(sys.argv) > 1 else DATA
+    if not out.is_dir():
+        print(f"build_fixtures.py: {str(out)!r} is not an existing directory", file=sys.stderr)
+        sys.exit(2)
+    main(out)

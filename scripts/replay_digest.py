@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
 """Replay the benchmark workloads once and print a digest of their outputs.
 
-Usage: ``python scripts/replay_digest.py --seed S``
+Usage: ``python scripts/replay_digest.py --seed S [--workload W]...``
 
-For each workload (analyze, synth-search, audit) the script plans the
+For each workload (analyze, synth-search and audit by default; repeat
+``--workload`` to replay only the named ones) the script plans the
 seeded inputs and operations by running ``perfbench/workloads.py`` in a
 subprocess, writes the planned input files into a temporary directory, and
 sends every operation through ``cdscover.cli.main`` once. It prints one
@@ -74,8 +75,9 @@ def digest(workload: str, seed: int) -> tuple[str, int]:
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--seed", type=int, required=True)
+    parser.add_argument("--workload", action="append", choices=WORKLOADS, help="replay only this workload (repeatable)")
     args = parser.parse_args(argv)
-    for workload in WORKLOADS:
+    for workload in args.workload or WORKLOADS:
         hexdigest, ops = digest(workload, args.seed)
         print(f"{workload} seed {args.seed}: {ops} ops {hexdigest}")
     return 0

@@ -192,7 +192,13 @@ def random_scheme_search(
     alignment constraints are then linear in the rows of the secret
     precoders; the solver parameterizes their solution space exactly and
     draws up to SEARCH_INNER_DRAWS random members, keeping one iff every
-    qualified edge has a full-rank secret difference. Any returned scheme
+    qualified edge has a full-rank secret difference. A configuration is
+    rejected before any draw when some qualified edge's shared slots have
+    fewer than L independent class differences (the rank of their class
+    pairs' incidence matrix, classes minus components over any field):
+    every member's difference on that edge lies in their span, so no draw
+    could pass. Its draws' rng calls are still made, so the stream and
+    every seeded result are those of drawing them. Any returned scheme
     has passed verify_linear; None after budget exhaustion proves nothing.
     A modulus too large for exact int64 products raises FieldError.
     """
@@ -318,6 +324,16 @@ def _solve_alignment(
     # each unqualified constraint F_u[t] = F_v[t] joins two slots, so the
     # solution space is spanned by the indicator vectors of the slot classes
     k, cls = _slot_classes(total, [(slot[u, t], slot[v, t]) for u, v in uedges for t in atoms[u] & atoms[v]])
+    # a draw's row differences on a qualified edge are coeffs[a] - coeffs[b]
+    # over its shared slots' class pairs (a, b), so their rank is at most that
+    # of the pairs' incidence matrix: k minus the classes the pairs leave of
+    # 0..k-1. Below L no draw can pass; consume the draws' rng calls and stop.
+    ids = cls.tolist()
+    for u, v in qedges:
+        if k - _slot_classes(k, [(ids[slot[u, t]], ids[slot[v, t]]) for t in atoms[u] & atoms[v]])[0] < L:
+            for _ in range(SEARCH_INNER_DRAWS):
+                rng.integers(0, field.p, size=(k, L), dtype=np.int64)
+            return None
     basis = np.zeros((k, total), dtype=np.int64)
     basis[cls, np.arange(total)] = 1
     # a qualified edge decodes when its shared slots' row differences have rank L

@@ -3,11 +3,15 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import cdscover as cc
 from cdscover.bounds import (
+    SEARCH_INNER_DRAWS,
+    _draw_rows,
+    _sample_atoms,
     _slot_classes,
+    _solve_alignment,
     classify_linear_capacity,
     color_isomorphic,
     linear_converse_bound,
@@ -15,9 +19,9 @@ from cdscover.bounds import (
     solve_scheme_for_noise,
 )
 from cdscover.fields import FieldMatrix, PrimeField
-from cdscover.graph import CdsInstance
-from cdscover.linalg import nullspace
-from cdscover.scheme import serialize_scheme
+from cdscover.graph import CdsInstance, a_node, b_node
+from cdscover.linalg import nullspace, residue_rank
+from cdscover.scheme import LinearScheme, serialize_scheme
 
 
 def test_bound_values(catalog_instances):
@@ -261,6 +265,115 @@ def test_slot_classes_match_nullspace(system):
     assert np.array_equal(indicators, basis)
     coeffs = np.random.default_rng(total).integers(0, p, size=(k, 3), dtype=np.int64)
     assert np.array_equal(coeffs[cls], np.mod(basis.T @ coeffs, p))
+
+
+@st.composite
+def class_pair_systems(draw):
+    """(class count k, pairs of classes, loops allowed)."""
+    k = draw(st.integers(1, 8))
+    return k, draw(st.lists(st.tuples(st.integers(0, k - 1), st.integers(0, k - 1)), max_size=12))
+
+
+@given(class_pair_systems())
+@example((1, [(0, 0)]))
+@example((4, [(0, 1), (1, 2), (2, 0)]))
+@settings(max_examples=200, deadline=None)
+def test_class_pair_rank_is_incidence_rank(system):
+    # the search's structural early exit: the rank of a +-1 incidence matrix
+    # is its size minus its connected classes, over every prime field
+    k, pairs = system
+    incidence = np.zeros((len(pairs), k), dtype=np.int64)
+    for i, (a, b) in enumerate(pairs):
+        incidence[i, a] += 1
+        incidence[i, b] -= 1
+    for p in (2, 3, 5):
+        assert k - _slot_classes(k, pairs)[0] == residue_rank(incidence, p)
+
+
+def _dense_solve_alignment(inst, field, L, N, L_Z, nodes, node_idx, atoms, qedges, uedges, rng):
+    """Reference for ``_solve_alignment`` without its class-space rank check:
+    the dense indicator basis and one +-1 check matrix per qualified edge, with
+    ``_draw_rows`` run on every configuration. Also returns whether some
+    qualified edge's checks have rank below L on the class space."""
+    total = len(nodes) * N
+    cols = {n: sorted(atoms[n]) for n in nodes}
+    slot = {(n, t): node_idx[n] * N + r for n in nodes for r, t in enumerate(cols[n])}
+    k, cls = _slot_classes(total, [(slot[u, t], slot[v, t]) for u, v in uedges for t in atoms[u] & atoms[v]])
+    basis = np.zeros((k, total), dtype=np.int64)
+    basis[cls, np.arange(total)] = 1
+    checks = []
+    for u, v in qedges:
+        shared = sorted(atoms[u] & atoms[v])
+        d = np.zeros((len(shared), total), dtype=np.int64)
+        for i, t in enumerate(shared):
+            d[i, slot[u, t]], d[i, slot[v, t]] = 1, -1
+        checks.append(d)
+    deficient = any(residue_rank(d @ basis.T, field.p) < L for d in checks)
+    rows = _draw_rows(rng, field.p, L, 0, basis, checks, SEARCH_INNER_DRAWS)
+    if rows is None:
+        return None, deficient
+    precoders = {}
+    for n in nodes:
+        h = np.zeros((N, L_Z), dtype=np.int64)
+        h[np.arange(N), cols[n]] = 1
+        precoders[n] = (FieldMatrix(rows[node_idx[n] * N : node_idx[n] * N + N], field), FieldMatrix(h, field))
+    name = f"search-{inst.name}" if inst.name else "search"
+    return LinearScheme(field=field, L=L, L_Z=L_Z, N=N, precoders=precoders, name=name), deficient
+
+
+@st.composite
+def search_cases(draw):
+    """(instance, p, L, N, L_Z, seed): small random paths and cycles, and
+    paths with up to two qualified chords."""
+    seed = draw(st.integers(0, 10_000))
+    kind = draw(st.sampled_from(("path", "cycle", "chorded")))
+    side = draw(st.integers(2, 4))
+    try:
+        density = draw(st.sampled_from((0.2, 0.4, 0.6)))
+        inst = cc.random_instance(seed, side, side, "path" if kind == "chorded" else kind, density)
+    except cc.InstanceError:  # no unqualified edge can be given to some node
+        assume(False)
+    if kind == "chorded":
+        free = sorted((x, y) for x in range(1, side + 1) for y in range(1, side + 1) if (x, y) not in inst.qualified)
+        assume(free)
+        chords = set(draw(st.lists(st.sampled_from(free), min_size=1, max_size=2)))
+        inst = CdsInstance(inst.name, side, side, inst.qualified | chords, inst.unqualified - chords)
+    L = draw(st.integers(1, 3))
+    N = draw(st.sampled_from((L, L + 1)))
+    return inst, draw(st.sampled_from((2, 3, 5))), L, N, draw(st.sampled_from((N + 1, 2 * N))), seed
+
+
+def test_solve_alignment_matches_dense_reference():
+    # two generators of one seed run the search loop side by side, one through
+    # _solve_alignment and one through the dense reference: every result and
+    # every generator state must agree, on both sides of the rank check
+    seen = set()
+
+    @given(search_cases())
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    def check(case):
+        inst, p, L, N, L_Z, seed = case
+        field, nodes = PrimeField(p), inst.nodes()
+        node_idx = {n: i for i, n in enumerate(nodes)}
+        qedges = [(a_node(x), b_node(y)) for x, y in sorted(inst.qualified)]
+        uedges = [(a_node(x), b_node(y)) for x, y in sorted(inst.unqualified)]
+        fast, dense = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(6):
+            atoms = _sample_atoms(fast, nodes, qedges, L, N, L_Z)
+            assert atoms == _sample_atoms(dense, nodes, qedges, L, N, L_Z)
+            if atoms is None:
+                continue
+            args = (inst, field, L, N, L_Z, nodes, node_idx, atoms, qedges, uedges)
+            got = _solve_alignment(*args, fast)
+            want, deficient = _dense_solve_alignment(*args, dense)
+            assert (got is None) == (want is None)
+            if got is not None:
+                assert serialize_scheme(got) == serialize_scheme(want)
+            assert fast.bit_generator.state == dense.bit_generator.state
+            seen.add("early exit" if deficient else "draws")
+
+    check()
+    assert seen == {"early exit", "draws"}
 
 
 def test_search_deterministic(catalog_instances):

@@ -151,3 +151,17 @@ def test_build_fixtures_reproduces_data(tmp_path):
     assert built == sorted(p.name for p in data.glob("scheme-*.json"))
     for name in built:
         assert (tmp_path / name).read_bytes() == (data / name).read_bytes(), name
+
+
+def test_build_fixtures_refuses_a_missing_directory(tmp_path):
+    missing = tmp_path / "missing"
+    root = Path(__file__).resolve().parent.parent
+    proc = subprocess.run(
+        [sys.executable, str(root / "scripts" / "build_fixtures.py"), str(missing)],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""  # refused before any fixture was built
+    assert proc.stderr.count("\n") == 1 and str(missing) in proc.stderr
+    assert not missing.exists()

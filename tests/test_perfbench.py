@@ -1,8 +1,12 @@
 import importlib
 import importlib.util
+import re
+import subprocess
+import sys
 from pathlib import Path
 
-LAYERS = Path(__file__).resolve().parent.parent / "perfbench" / "layers.py"
+ROOT = Path(__file__).resolve().parent.parent
+LAYERS = ROOT / "perfbench" / "layers.py"
 
 
 def _load_layers():
@@ -22,3 +26,13 @@ def test_every_traced_target_exists():
             assert hasattr(owner, part), f"{module_name}.{attr}, traced as {span}, is missing"
             owner = getattr(owner, part)
         assert callable(owner), f"{module_name}.{attr} is not callable"
+
+
+def test_replay_digest_replays_only_the_named_workload():
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "replay_digest.py"), "--seed", "1", "--workload", "synth-search"],
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert re.fullmatch(r"synth-search seed 1: \d+ ops [0-9a-f]{64}\n", proc.stdout)
