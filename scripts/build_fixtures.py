@@ -6,9 +6,8 @@ directory defaults to the package data directory. It must be an existing
 directory: anything else is refused with exit status 2 before any fixture
 is built. Every construction here is deterministic (fixed seeds, fixed
 structures), so rerunning the script reproduces the committed files byte
-for byte. Each fixture is re-verified
-before being written; the script refuses to write anything that fails its
-checks.
+for byte. Each fixture is re-verified before being written; the script
+refuses to write anything that fails its checks.
 """
 
 from __future__ import annotations
