@@ -21,10 +21,9 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 import cdscover as cc
-from cdscover.bounds import solve_scheme_for_noise
 from cdscover.fields import FieldMatrix, PrimeField
-from cdscover.graph import a_node, b_node, unqualified_classes
-from cdscover.linalg import cauchy_matrix, rank_rref
+from cdscover.graph import CdsInstance, a_node, b_node, unqualified_classes
+from cdscover.linalg import cauchy_matrix, rank_rref, residue_rank, rowspace_intersection
 from cdscover.scheme import LinearScheme, serialize_scheme
 
 DATA = Path(__file__).resolve().parent.parent / "src" / "cdscover" / "data"
@@ -51,6 +50,83 @@ def build_fig5_synth() -> LinearScheme:
 
 def _rows(field: PrimeField, rows: list[list[int]]) -> FieldMatrix:
     return FieldMatrix(np.array(rows, dtype=np.int64), field)
+
+
+def solve_scheme_for_noise(
+    inst: CdsInstance,
+    field: PrimeField,
+    L: int,
+    h_map: dict[str, FieldMatrix],
+    rng: np.random.Generator,
+    pinned_rows: list[tuple[str, int, list[int]]],
+    pinned_diffs: list[tuple[tuple[str, int], tuple[str, int], list[int]]],
+) -> LinearScheme | None:
+    """Solve for secret precoders given fixed noise precoders of N rows each.
+
+    The unqualified alignment constraints P_u F_u = P_v F_v are linear in
+    the rows of the F matrices with scalar coefficients taken from the
+    overlap coefficient matrices; ``pinned_rows`` fixes chosen F rows to
+    given vectors and ``pinned_diffs`` fixes differences of two rows (at
+    least one pin is expected). The solutions of this system A X = b form
+    an affine space, and one reduction of [A | b] gives both a particular
+    solution and a basis of the null space of A. Up to 64 random members
+    are drawn until every qualified edge has a full-rank secret difference;
+    None if none has, or if the pins contradict the alignment. Nodes with
+    no edges get all-zero secret precoders.
+    """
+    nodes = inst.nodes()
+    N = h_map[nodes[0]].rows
+    block = {n: slice(i * N, i * N + N) for i, n in enumerate(nodes)}
+    total = len(nodes) * N
+
+    # an edge's overlap coefficients [P_a | -P_b], placed at its two node
+    # blocks, give equations when it is unqualified and a rank check when not
+    eq_rows: list[np.ndarray] = []
+    rhs_rows: list[np.ndarray] = []
+    checks: list[np.ndarray] = []
+    touched: set[str] = set()
+    for (x, y), kind in inst.edges_with_kind():
+        u, v = a_node(x), b_node(y)
+        touched.update((u, v))
+        inter = rowspace_intersection(h_map[u], h_map[v])
+        pair = np.zeros((inter.p_a.rows, total), dtype=np.int64)
+        pair[:, block[u]] = inter.p_a.array
+        pair[:, block[v]] = -inter.p_b.array
+        if kind == "unqualified":
+            eq_rows.extend(pair)
+            rhs_rows.extend(np.zeros((len(pair), L), dtype=np.int64))
+        else:
+            checks.append(pair)
+    for node, r, vec in pinned_rows:
+        row = np.zeros(total, dtype=np.int64)
+        row[block[node].start + r] = 1
+        eq_rows.append(row)
+        rhs_rows.append(np.asarray(vec, dtype=np.int64))
+    for (n1, r1), (n2, r2), vec in pinned_diffs:
+        row = np.zeros(total, dtype=np.int64)
+        row[block[n1].start + r1] = 1
+        row[block[n2].start + r2] = -1
+        eq_rows.append(row)
+        rhs_rows.append(np.asarray(vec, dtype=np.int64))
+
+    rank, red, pivots = rank_rref(FieldMatrix(np.hstack([eq_rows, rhs_rows]), field))
+    if pivots[-1] >= total:
+        return None  # a pivot in b: some row reads 0 = nonzero
+    free = [c for c in range(total) if c not in pivots]
+    x0 = np.zeros((total, L), dtype=np.int64)
+    x0[pivots] = red.array[:rank, total:]
+    basis = np.zeros((len(free), total), dtype=np.int64)
+    basis[np.arange(len(free)), free] = 1
+    basis[:, pivots] = -red.array[:rank, free].T
+    for _ in range(64):
+        coeffs = rng.integers(0, field.p, size=(len(free), L), dtype=np.int64)
+        rows = np.mod(x0 + basis.T @ coeffs, field.p)
+        if all(residue_rank(d @ rows, field.p) == L for d in checks):
+            break
+    else:
+        return None
+    precoders = {n: (FieldMatrix(rows[block[n]] if n in touched else np.zeros((N, L)), field), h_map[n]) for n in nodes}
+    return LinearScheme(field=field, L=L, L_Z=h_map[nodes[0]].cols, N=N, precoders=precoders)
 
 
 def build_fig2_scheme() -> LinearScheme:
@@ -90,14 +166,6 @@ def build_fig2_scheme() -> LinearScheme:
     rng = np.random.default_rng(20240211)
     scheme = solve_scheme_for_noise(inst, field, L=4, h_map=h_map, rng=rng, pinned_rows=pins, pinned_diffs=diffs)
     assert scheme is not None, "fig2 alignment solve failed"
-    scheme = LinearScheme(
-        field=scheme.field,
-        L=scheme.L,
-        L_Z=scheme.L_Z,
-        N=scheme.N,
-        precoders=scheme.precoders,
-        name="fig2-rate-2-5",
-    )
     report = cc.verify_linear(inst, scheme)
     assert report.overall, report.failures()
     oracle = cc.entropic_oracle_all(inst, scheme)
@@ -107,8 +175,6 @@ def build_fig2_scheme() -> LinearScheme:
 
 
 def _check_fig2_fragments(inst, scheme) -> None:
-    from cdscover.linalg import rowspace_intersection
-
     field = scheme.field
     inter = rowspace_intersection(scheme.h_of("A3"), scheme.h_of("B3"))
     frag = _rows(

@@ -4,10 +4,12 @@ The converse bound (rho-1)/(2*rho) holds for every linear scheme; when rho
 is infinite it degenerates to 1/2. Classification combines that bound with
 the path/cycle achievability condition and with catalog knowledge reached
 through color-preserving bipartite isomorphism. The randomized search is
-the constructive companion to the feasibility framework: it samples noise
-structures with the required qualified overlaps, solves the unqualified
-alignment constraints exactly, and keeps a draw only if every qualified
-edge ends up decodable; anything returned has passed the real verifier.
+the package's one alignment solver, the constructive companion to the
+feasibility framework: it samples noise structures with the required
+qualified overlaps (noise alignment), solves the unqualified alignment
+constraints exactly as classes of equal secret rows (signal alignment),
+and keeps a draw only if every qualified edge ends up decodable; anything
+returned has passed the real verifier.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import numpy as np
 
 from .fields import FieldMatrix, PrimeField
 from .graph import CdsInstance, CoverWitness, a_node, b_node, qualified_components, rho
-from .linalg import nullspace, residue_rank, rowspace_intersection, solve_right
+from .linalg import residue_rank
 from .scheme import LinearScheme, check_field_size, verify_linear
 
 
@@ -189,17 +191,16 @@ def random_scheme_search(
     Each unit of budget samples one noise configuration: every node gets N
     distinct noise coordinates, locally repaired until every qualified edge
     shares at least L of them (noise alignment first). The unqualified
-    alignment constraints are then linear in the rows of the secret
-    precoders; the solver parameterizes their solution space exactly and
-    draws up to SEARCH_INNER_DRAWS random members, keeping one iff every
-    qualified edge has a full-rank secret difference. A configuration is
-    rejected before any draw when some qualified edge's shared slots have
-    fewer than L independent class differences (the rank of their class
-    pairs' incidence matrix, classes minus components over any field):
-    every member's difference on that edge lies in their span, so no draw
-    could pass. Its draws' rng calls are still made, so the stream and
-    every seeded result are those of drawing them. Any returned scheme
-    has passed verify_linear; None after budget exhaustion proves nothing.
+    alignment constraints then say which secret rows are equal, so the
+    solution space is one free row per class of equal rows. Up to
+    SEARCH_INNER_DRAWS random members are drawn, one row per class, and one
+    is kept iff every qualified edge has a full-rank secret difference. An
+    edge's difference rows are those of its shared slots' class pairs with
+    two distinct classes, and no two of these pairs share a class, so an
+    edge with fewer than L of them can never pass. Such a configuration's
+    draws are still made but not tested, which keeps the rng stream and
+    every seeded result. Any returned scheme has passed verify_linear;
+    None after budget exhaustion proves nothing.
     A modulus too large for exact int64 products raises FieldError.
     """
     if seed < 0:
@@ -262,9 +263,9 @@ def _slot_classes(total: int, pairs: list[tuple[int, int]]) -> tuple[int, np.nda
     """Classes of the slots 0..total-1 under the equalities ``pairs``.
 
     Returns the class count k and each slot's class index. Classes are
-    numbered by their largest slot, the order in which ``linalg.nullspace``
-    lists the class indicator vectors that span the equality system's
-    solution space, so the class-``i`` indicator is its basis row ``i``.
+    numbered by their largest slot. The search draws row ``i`` of its
+    coefficients for class ``i``, so this numbering is part of its rng
+    stream: the pinned search results depend on it.
     """
     parent = list(range(total))
 
@@ -284,27 +285,6 @@ def _slot_classes(total: int, pairs: list[tuple[int, int]]) -> tuple[int, np.nda
     return len(number), np.array([number[r] for r in roots], dtype=np.intp)
 
 
-def _draw_rows(
-    rng: np.random.Generator,
-    p: int,
-    L: int,
-    x0: np.ndarray | int,
-    basis: np.ndarray,
-    checks: list[np.ndarray],
-    draws: int,
-) -> np.ndarray | None:
-    """Up to ``draws`` random members ``x0 + basis.T @ coeffs`` (mod p) of an
-    affine solution space, with ``coeffs`` drawn as a (len(basis), L) block
-    each time; the first member ``rows`` for which every check matrix D has
-    rank(D @ rows) == L, or None."""
-    for _ in range(draws):
-        coeffs = rng.integers(0, p, size=(len(basis), L), dtype=np.int64)
-        rows = np.mod(x0 + basis.T @ coeffs, p)
-        if all(residue_rank(d @ rows, p) == L for d in checks):
-            return rows
-    return None
-
-
 def _solve_alignment(
     inst: CdsInstance,
     field: PrimeField,
@@ -321,32 +301,29 @@ def _solve_alignment(
     total = len(nodes) * N
     cols = {n: sorted(atoms[n]) for n in nodes}
     slot = {(n, t): node_idx[n] * N + r for n in nodes for r, t in enumerate(cols[n])}
-    # each unqualified constraint F_u[t] = F_v[t] joins two slots, so the
-    # solution space is spanned by the indicator vectors of the slot classes
+    # each unqualified constraint F_u[t] = F_v[t] joins two slots of noise
+    # coordinate t, so the solution space is spanned by the indicator vectors
+    # of the slot classes, no class holds two coordinates, and the member for
+    # class rows ``coeffs`` has slot rows coeffs[cls]
     k, cls = _slot_classes(total, [(slot[u, t], slot[v, t]) for u, v in uedges for t in atoms[u] & atoms[v]])
-    # a draw's row differences on a qualified edge are coeffs[a] - coeffs[b]
-    # over its shared slots' class pairs (a, b), so their rank is at most that
-    # of the pairs' incidence matrix: k minus the classes the pairs leave of
-    # 0..k-1. Below L no draw can pass; consume the draws' rng calls and stop.
-    ids = cls.tolist()
-    for u, v in qedges:
-        if k - _slot_classes(k, [(ids[slot[u, t]], ids[slot[v, t]]) for t in atoms[u] & atoms[v]])[0] < L:
-            for _ in range(SEARCH_INNER_DRAWS):
-                rng.integers(0, field.p, size=(k, L), dtype=np.int64)
-            return None
-    basis = np.zeros((k, total), dtype=np.int64)
-    basis[cls, np.arange(total)] = 1
-    # a qualified edge decodes when its shared slots' row differences have rank L
+    # a qualified edge decodes when its shared slots' row differences, the
+    # coeffs[a] - coeffs[b] over their class pairs with a != b, have rank L.
+    # One coordinate per class means these pairs share no class, so the rank
+    # can reach L only with at least L pairs; with fewer, the draws are still
+    # made, which keeps the rng stream, and all fail.
     checks = []
     for u, v in qedges:
-        shared = sorted(atoms[u] & atoms[v])
-        d = np.zeros((len(shared), total), dtype=np.int64)
-        for i, t in enumerate(shared):
-            d[i, slot[u, t]], d[i, slot[v, t]] = 1, -1
-        checks.append(d)
-    rows = _draw_rows(rng, field.p, L, 0, basis, checks, SEARCH_INNER_DRAWS)
-    if rows is None:
+        shared = list(atoms[u] & atoms[v])
+        a, b = cls[[slot[u, t] for t in shared]], cls[[slot[v, t] for t in shared]]
+        checks.append((a[a != b], b[a != b]))
+    short = any(len(a) < L for a, _ in checks)
+    for _ in range(SEARCH_INNER_DRAWS):
+        coeffs = rng.integers(0, field.p, size=(k, L), dtype=np.int64)
+        if not short and all(residue_rank(coeffs[a] - coeffs[b], field.p) == L for a, b in checks):
+            break
+    else:
         return None
+    rows = coeffs[cls]
     precoders = {}
     for n in nodes:
         h = np.zeros((N, L_Z), dtype=np.int64)
@@ -359,88 +336,4 @@ def _solve_alignment(
         N=N,
         precoders=precoders,
         name=f"search-{inst.name}" if inst.name else "search",
-    )
-
-
-SOLVE_INNER_DRAWS = 64  # members of the solution space tried by solve_scheme_for_noise
-
-
-def solve_scheme_for_noise(
-    inst: CdsInstance,
-    field: PrimeField,
-    L: int,
-    h_map: dict[str, FieldMatrix],
-    rng: np.random.Generator,
-    pinned_rows: list[tuple[str, int, list[int]]] | None = None,
-    pinned_diffs: list[tuple[tuple[str, int], tuple[str, int], list[int]]] | None = None,
-) -> LinearScheme | None:
-    """Solve for secret precoders given fixed noise precoders.
-
-    The unqualified alignment constraints P_u F_u = P_v F_v are linear in
-    the rows of the F matrices with scalar coefficients taken from the
-    overlap coefficient matrices, so the whole solution space is an affine
-    subspace: one exact solve parameterizes it. Random members are drawn
-    until every qualified edge has a full-rank secret difference, at most
-    SOLVE_INNER_DRAWS of them. ``pinned_rows`` fixes chosen F rows to
-    given vectors and ``pinned_diffs`` fixes differences of two rows, which
-    lets callers reproduce published scheme fragments. Nodes with no edges
-    get all-zero secret precoders. Noise precoders with different row
-    counts raise ValueError.
-    """
-    nodes = inst.nodes()
-    N = h_map[nodes[0]].rows
-    if any(h_map[n].rows != N for n in nodes):
-        raise ValueError("all noise precoders must have the same row count N")
-    block = {n: slice(i * N, i * N + N) for i, n in enumerate(nodes)}
-    total = len(nodes) * N
-
-    # an edge's overlap coefficients [P_a | -P_b], placed at its two node
-    # blocks, give equations when it is unqualified and a rank check when not
-    eq_rows: list[np.ndarray] = []
-    rhs_rows: list[np.ndarray] = []
-    checks: list[np.ndarray] = []
-    touched: set[str] = set()
-    for (x, y), kind in inst.edges_with_kind():
-        u, v = a_node(x), b_node(y)
-        touched.update((u, v))
-        inter = rowspace_intersection(h_map[u], h_map[v])
-        pair = np.zeros((inter.p_a.rows, total), dtype=np.int64)
-        pair[:, block[u]] = inter.p_a.array
-        pair[:, block[v]] = -inter.p_b.array
-        if kind == "unqualified":
-            eq_rows.extend(pair)
-            rhs_rows.extend(np.zeros((len(pair), L), dtype=np.int64))
-        else:
-            checks.append(pair)
-    for node, r, vec in pinned_rows or []:
-        row = np.zeros(total, dtype=np.int64)
-        row[block[node].start + r] = 1
-        eq_rows.append(row)
-        rhs_rows.append(np.asarray(vec, dtype=np.int64))
-    for (n1, r1), (n2, r2), vec in pinned_diffs or []:
-        row = np.zeros(total, dtype=np.int64)
-        row[block[n1].start + r1] = 1
-        row[block[n2].start + r2] = -1
-        eq_rows.append(row)
-        rhs_rows.append(np.asarray(vec, dtype=np.int64))
-
-    if eq_rows:
-        a_sys = FieldMatrix(np.array(eq_rows, dtype=np.int64), field)
-        particular = solve_right(a_sys, FieldMatrix(np.array(rhs_rows, dtype=np.int64), field))
-        if particular is None:
-            return None
-        x0, basis = particular.array, nullspace(a_sys).array
-    else:
-        x0, basis = 0, np.eye(total, dtype=np.int64)
-    rows = _draw_rows(rng, field.p, L, x0, basis, checks, SOLVE_INNER_DRAWS)
-    if rows is None:
-        return None
-    precoders = {n: (FieldMatrix(rows[block[n]] if n in touched else np.zeros((N, L)), field), h_map[n]) for n in nodes}
-    return LinearScheme(
-        field=field,
-        L=L,
-        L_Z=h_map[nodes[0]].cols,
-        N=N,
-        precoders=precoders,
-        name=f"solved-{inst.name}" if inst.name else "solved",
     )

@@ -139,9 +139,6 @@ class FieldMatrix:
         self._check_same_field(other)
         return FieldMatrix(np.mod(self._a - other._a, self.field.p), self.field)
 
-    def is_zero(self) -> bool:
-        return not self._a.any()
-
     # -- comparisons -------------------------------------------------------
 
     def __eq__(self, other) -> bool:

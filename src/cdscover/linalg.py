@@ -189,18 +189,3 @@ def cauchy_matrix(xs: Sequence[int], ys: Sequence[int], field: PrimeField) -> Fi
     entries = [[field.inverse(x - y) for y in ys] for x in xs]
     return FieldMatrix.from_rows(entries, field, cols=len(ys))
 
-
-def solve_right(a: FieldMatrix, b: FieldMatrix) -> FieldMatrix | None:
-    """One solution X of a @ X = b, or None if the system is inconsistent."""
-    if a.field != b.field or a.rows != b.rows:
-        raise FieldError("incompatible shapes for solve_right")
-    aug = FieldMatrix(np.hstack([a.array, b.array]), a.field)
-    _, red, pivots = rank_rref(aug)
-    n = a.cols
-    for row_idx, pc in enumerate(pivots):
-        if pc >= n:
-            return None
-    x = np.zeros((n, b.cols), dtype=np.int64)
-    for row_idx, pc in enumerate(pivots):
-        x[pc] = red.array[row_idx, n:]
-    return FieldMatrix(x, a.field)

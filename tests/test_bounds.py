@@ -1,5 +1,7 @@
 import hashlib
+import importlib.util
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,7 +10,6 @@ from hypothesis import assume, example, given, settings, strategies as st
 import cdscover as cc
 from cdscover.bounds import (
     SEARCH_INNER_DRAWS,
-    _draw_rows,
     _sample_atoms,
     _slot_classes,
     _solve_alignment,
@@ -16,12 +17,13 @@ from cdscover.bounds import (
     color_isomorphic,
     linear_converse_bound,
     random_scheme_search,
-    solve_scheme_for_noise,
 )
 from cdscover.fields import FieldMatrix, PrimeField
 from cdscover.graph import CdsInstance, a_node, b_node
 from cdscover.linalg import nullspace, residue_rank
 from cdscover.scheme import LinearScheme, serialize_scheme
+
+FIXTURE_SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "build_fixtures.py"
 
 
 def test_bound_values(catalog_instances):
@@ -279,8 +281,8 @@ def class_pair_systems(draw):
 @example((4, [(0, 1), (1, 2), (2, 0)]))
 @settings(max_examples=200, deadline=None)
 def test_class_pair_rank_is_incidence_rank(system):
-    # the search's early exit rests on this: a +-1 incidence matrix on k
-    # vertices has rank k minus its connected components over every field
+    # _slot_classes counts connected components: a +-1 incidence matrix on
+    # k vertices has rank k minus its components over every field
     k, pairs = system
     incidence = np.zeros((len(pairs), k), dtype=np.int64)
     for i, (a, b) in enumerate(pairs):
@@ -290,17 +292,27 @@ def test_class_pair_rank_is_incidence_rank(system):
         assert k - _slot_classes(k, pairs)[0] == residue_rank(incidence, p)
 
 
+def _slots(nodes, N, atoms):
+    """Each (node, noise coordinate) slot's index: node i's coordinates, in
+    order, take slots i*N .. i*N+N-1, as in the search."""
+    return {(n, t): i * N + r for i, n in enumerate(nodes) for r, t in enumerate(sorted(atoms[n]))}
+
+
 def _dense_solve_alignment(inst, field, L, N, L_Z, nodes, node_idx, atoms, qedges, uedges, rng):
-    """Reference for ``_solve_alignment`` without its class-space rank check:
-    the dense indicator basis and one +-1 check matrix per qualified edge, with
-    ``_draw_rows`` run on every configuration. Also returns whether some
-    qualified edge's checks have rank below L on the class space."""
-    total = len(nodes) * N
-    cols = {n: sorted(atoms[n]) for n in nodes}
-    slot = {(n, t): node_idx[n] * N + r for n in nodes for r, t in enumerate(cols[n])}
-    k, cls = _slot_classes(total, [(slot[u, t], slot[v, t]) for u, v in uedges for t in atoms[u] & atoms[v]])
-    basis = np.zeros((k, total), dtype=np.int64)
-    basis[cls, np.arange(total)] = 1
+    """Reference for ``_solve_alignment`` from the equality system itself: a
+    basis of its solutions from ``nullspace`` of the +-1 equality rows, one
+    +-1 check matrix per qualified edge, and SEARCH_INNER_DRAWS draws of basis
+    coefficients on every configuration. Also returns whether some qualified
+    edge's checks have rank below L on the solution space."""
+    p, total = field.p, len(nodes) * N
+    slot = _slots(nodes, N, atoms)
+    eqs = []
+    for u, v in uedges:
+        for t in sorted(atoms[u] & atoms[v]):
+            row = [0] * total
+            row[slot[u, t]], row[slot[v, t]] = 1, p - 1
+            eqs.append(row)
+    basis = nullspace(FieldMatrix.from_rows(eqs, field, cols=total)).array
     checks = []
     for u, v in qedges:
         shared = sorted(atoms[u] & atoms[v])
@@ -308,14 +320,17 @@ def _dense_solve_alignment(inst, field, L, N, L_Z, nodes, node_idx, atoms, qedge
         for i, t in enumerate(shared):
             d[i, slot[u, t]], d[i, slot[v, t]] = 1, -1
         checks.append(d)
-    deficient = any(residue_rank(d @ basis.T, field.p) < L for d in checks)
-    rows = _draw_rows(rng, field.p, L, 0, basis, checks, SEARCH_INNER_DRAWS)
-    if rows is None:
+    deficient = any(residue_rank(d @ basis.T, p) < L for d in checks)
+    for _ in range(SEARCH_INNER_DRAWS):
+        rows = np.mod(basis.T @ rng.integers(0, p, size=(len(basis), L), dtype=np.int64), p)
+        if all(residue_rank(d @ rows, p) == L for d in checks):
+            break
+    else:
         return None, deficient
     precoders = {}
     for n in nodes:
         h = np.zeros((N, L_Z), dtype=np.int64)
-        h[np.arange(N), cols[n]] = 1
+        h[np.arange(N), sorted(atoms[n])] = 1
         precoders[n] = (FieldMatrix(rows[node_idx[n] * N : node_idx[n] * N + N], field), FieldMatrix(h, field))
     name = f"search-{inst.name}" if inst.name else "search"
     return LinearScheme(field=field, L=L, L_Z=L_Z, N=N, precoders=precoders, name=name), deficient
@@ -376,6 +391,34 @@ def test_solve_alignment_matches_dense_reference():
     assert seen == {"early exit", "draws"}
 
 
+@given(search_cases())
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+def test_slot_classes_hold_one_coordinate(case):
+    # the search's early exit counts a qualified edge's class pairs with
+    # a != b, which is their differences' rank bound only because every
+    # unqualified equality joins two slots of one noise coordinate: each
+    # class then holds one coordinate and those pairs share no class
+    inst, _, L, N, L_Z, seed = case
+    nodes = inst.nodes()
+    qedges = [(a_node(x), b_node(y)) for x, y in sorted(inst.qualified)]
+    uedges = [(a_node(x), b_node(y)) for x, y in sorted(inst.unqualified)]
+    rng = np.random.default_rng(seed)
+    for _ in range(6):
+        atoms = _sample_atoms(rng, nodes, qedges, L, N, L_Z)
+        if atoms is None:
+            continue
+        slot = _slots(nodes, N, atoms)
+        k, cls = _slot_classes(len(slot), [(slot[u, t], slot[v, t]) for u, v in uedges for t in atoms[u] & atoms[v]])
+        coordinates = [set() for _ in range(k)]
+        for (_, t), s in slot.items():
+            coordinates[cls[s]].add(t)
+        assert all(len(ts) == 1 for ts in coordinates)
+        for u, v in qedges:
+            pairs = [(cls[slot[u, t]], cls[slot[v, t]]) for t in atoms[u] & atoms[v]]
+            ends = [c for a, b in pairs if a != b for c in (a, b)]
+            assert len(ends) == len(set(ends))
+
+
 def test_search_deterministic(catalog_instances):
     inst = catalog_instances["fig2"]
     s1 = random_scheme_search(inst, p=3, L=4, N=5, L_Z=9, seed=7, budget=500)
@@ -421,18 +464,30 @@ def test_search_validates_parameters(catalog_instances):
         random_scheme_search(catalog_instances["fig2"], 3, 0, 1, 1, seed=0, budget=1)
 
 
-def test_solve_scheme_for_noise_with_pins():
+# -- the fig2 fixture solver in scripts/build_fixtures.py ---------------------------
+
+
+@pytest.fixture(scope="module")
+def fixture_script():
+    spec = importlib.util.spec_from_file_location("build_fixtures", FIXTURE_SCRIPT)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_solve_scheme_for_noise_with_pins(fixture_script):
     inst = CdsInstance("pair", 1, 1, frozenset(), frozenset({(1, 1)}))
     field = PrimeField(3)
     h = FieldMatrix([[1, 0, 0], [0, 1, 0]], field)
     rng = np.random.default_rng(0)
-    scheme = solve_scheme_for_noise(
+    scheme = fixture_script.solve_scheme_for_noise(
         inst,
         field,
         L=2,
         h_map={"A1": h, "B1": h},
         rng=rng,
         pinned_rows=[("A1", 0, [1, 2])],
+        pinned_diffs=[],
     )
     assert scheme is not None
     assert scheme.f_of("A1").to_lists()[0] == [1, 2]
@@ -441,37 +496,40 @@ def test_solve_scheme_for_noise_with_pins():
     assert cc.verify_linear(inst, scheme).overall
 
 
-def test_solve_scheme_inconsistent_pins_return_none():
+def test_solve_scheme_inconsistent_pins_return_none(fixture_script):
     inst = CdsInstance("pair", 1, 1, frozenset(), frozenset({(1, 1)}))
     field = PrimeField(3)
     h = FieldMatrix([[1, 0, 0], [0, 1, 0]], field)
     rng = np.random.default_rng(0)
-    scheme = solve_scheme_for_noise(
+    scheme = fixture_script.solve_scheme_for_noise(
         inst,
         field,
         L=2,
         h_map={"A1": h, "B1": h},
         rng=rng,
         pinned_rows=[("A1", 0, [1, 2]), ("B1", 0, [2, 2])],  # alignment forces equality
+        pinned_diffs=[],
     )
     assert scheme is None
 
 
-def test_solve_scheme_for_noise_zeroes_edgeless_nodes():
-    # A2 has no edge, so its secret precoder is all zero whatever was drawn
+def test_solve_scheme_for_noise_zeroes_edgeless_nodes(fixture_script):
+    # A2 has no edge, so its secret precoder is all zero whatever was drawn;
+    # the pin on A1 gives the solve the equation it needs
     inst = CdsInstance("pair-and-isolated", 2, 1, frozenset({(1, 1)}), frozenset())
     field = PrimeField(3)
     h = FieldMatrix([[1, 0], [0, 1]], field)
-    scheme = solve_scheme_for_noise(inst, field, L=1, h_map={"A1": h, "A2": h, "B1": h}, rng=np.random.default_rng(0))
+    scheme = fixture_script.solve_scheme_for_noise(
+        inst,
+        field,
+        L=1,
+        h_map={"A1": h, "A2": h, "B1": h},
+        rng=np.random.default_rng(0),
+        pinned_rows=[("A1", 0, [1])],
+        pinned_diffs=[],
+    )
     assert scheme is not None
     assert scheme.f_of("A2").to_lists() == [[0], [0]]
+    assert scheme.f_of("A1").to_lists()[0] == [1]
     assert scheme.f_of("A1") != scheme.f_of("B1")
     assert cc.verify_linear(inst, scheme).overall
-
-
-def test_solve_scheme_for_noise_refuses_unequal_row_counts():
-    inst = CdsInstance("pair", 1, 1, frozenset({(1, 1)}), frozenset())
-    field = PrimeField(3)
-    h_map = {"A1": FieldMatrix([[1, 0], [0, 1]], field), "B1": FieldMatrix([[1, 0]], field)}
-    with pytest.raises(ValueError, match="same row count"):
-        solve_scheme_for_noise(inst, field, L=1, h_map=h_map, rng=np.random.default_rng(0))

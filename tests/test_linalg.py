@@ -14,7 +14,6 @@ from cdscover.linalg import (
     residue_rank,
     rowspace_intersection,
     rref_with_transform,
-    solve_right,
 )
 
 from conftest import identity, zeros
@@ -244,14 +243,10 @@ def test_cauchy_submatrices_invertible_small():
                 assert residue_rank(c.array[np.ix_(rows, cols)], field.p) == k
 
 
-def test_solve_right_and_invert():
+def test_rref_transform_inverts():
     f = PrimeField(7)
     a = fm([[2, 1], [1, 3]], 7)
-    b = fm([[1], [0]], 7)
-    x = solve_right(a, b)
-    assert (a @ x) == b
     # the transform that reduces an invertible matrix is its inverse
     red, inv, _ = rref_with_transform(a)
     assert red == identity(2, f) and (inv @ a) == red
     assert len(rref_with_transform(fm([[1, 2], [2, 4]], 7))[2]) == 1  # singular
-    assert solve_right(fm([[1, 1], [1, 1]], 7), fm([[1], [0]], 7)) is None
