@@ -361,26 +361,33 @@ def _digit_sum_table(p: int) -> tuple[int, np.ndarray | None]:
     return g, tab
 
 
-def _pair_table(width: int, p: int, signal_keys, n_secrets: int) -> tuple[np.ndarray, ...]:
-    """Exact sparse table of the (signal, secret) pairs of a grid of samples.
+def _noise_parts(h: np.ndarray, p: int) -> np.ndarray:
+    """The distinct values of ``h @ z mod p`` over every z, one per row.
 
-    Row i of the grid holds samples of secret i < ``n_secrets``. A signal is
-    ``width`` residues with base-p key sum(value[c] * p**c);
+    They span ``h``'s columns: a column already among them adds none, and
+    any other takes them to p cosets, one per multiple of it.
+    """
+    parts = np.zeros((1, h.shape[0]), dtype=np.int64)
+    for col in np.mod(h, p).T:
+        if not (parts == col).all(axis=1).any():
+            parts = np.mod(parts + np.arange(p, dtype=np.int64)[:, None, None] * col, p).reshape(-1, h.shape[0])
+    return parts
+
+
+def _signal_runs(width: int, p: int, signal_keys) -> tuple[np.ndarray, ...]:
+    """Exact sorted keys of a grid of signals.
+
+    A signal is ``width`` residues with base-p key sum(value[c] * p**c);
     ``signal_keys(cols, powers, dtype)`` returns every sample's key over the
     slice ``cols`` (``powers`` = p**0, p**1, ... for its columns) as a fresh
     array in row-major order, built from digit-sum tables, in ``dtype`` or
-    int64. The keys are uint32 when every pair key fits, that is when
-    p**width * n_secrets <= 2^32, and int64 otherwise. Chunks of columns,
-    from the most significant end, extend the key while it stays below
-    2^62; np.unique renumbers it in key order whenever columns remain or it
-    has no room left for the secret. One sort of the grid of pair keys
-    signal * n_secrets + secret then gives the distinct pair keys in
-    increasing order, as the starts of its runs, and their counts, as the
-    run lengths. Returns the grid, the distinct pair keys with their
-    counts, and the index of each signal's first pair followed by the
-    number of pairs.
+    int64. The keys are uint32 when p**width <= 2^32, and int64 otherwise.
+    Chunks of columns, from the most significant end, extend the key while
+    it stays below 2^62; np.unique renumbers it in key order whenever
+    columns remain. Returns the keys, their sorted copy, and the start
+    of each run of equal keys in it followed by the number of keys.
     """
-    dtype = np.uint32 if p**width * n_secrets <= 2**32 else np.int64
+    dtype = np.uint32 if p**width <= 2**32 else np.int64
     key, bound, stop = 0, 1, width  # key < bound
     while True:
         start = max(stop - 1, 0)
@@ -390,21 +397,12 @@ def _pair_table(width: int, p: int, signal_keys, n_secrets: int) -> tuple[np.nda
         if bound > 1:  # else key is 0
             chunk += key * p ** (stop - start)
         key, bound, stop = chunk, bound * p ** (stop - start), start
-        if stop == 0 and bound * n_secrets < 2**62:
+        if stop == 0:
             break
         uniq, key = np.unique(key, return_inverse=True)
         bound = len(uniq)
-    grid = key.reshape(n_secrets, -1)
-    grid *= n_secrets
-    grid += np.arange(n_secrets, dtype=grid.dtype)[:, None]
-    srt = np.sort(grid, axis=None)
-    first = np.empty(srt.size, dtype=bool)
-    first[:1] = True
-    np.not_equal(srt[1:], srt[:-1], out=first[1:])
-    first = np.flatnonzero(first)
-    pairs, counts = srt[first], np.diff(np.append(first, srt.size))
-    signal = pairs // n_secrets
-    return grid, pairs, counts, np.flatnonzero(np.concatenate(([True], signal[1:] != signal[:-1], [True])))
+    srt = np.sort(key)
+    return key, srt, np.flatnonzero(np.concatenate(([True], srt[1:] != srt[:-1], [True])))
 
 
 def entropic_oracle_edge(
@@ -418,12 +416,15 @@ def entropic_oracle_edge(
     Enumerates every secret and every assignment of the noise coordinates
     actually referenced by the two noise precoders (unreferenced coordinates
     are independent of both signals, so marginalizing over them is exact)
-    and tabulates how often each signal pair occurs with each secret. A
-    qualified edge passes iff every realized signal pair is consistent with
-    exactly one secret; an unqualified edge passes iff, for every realized
-    signal pair, the count is identical across all p^L secrets. Never
-    silently passes: when p^(L+m) exceeds the budget the result is an
-    explicit "not-checked".
+    and tabulates how often each signal pair occurs with each secret.
+    Assignments with equal noise parts H z give equal signals, and each
+    distinct part comes from the same number mult of them, so the table is
+    built over the distinct parts: a signal pair occurs mult times with
+    each secret that gives it, and never with the others. A qualified edge
+    passes iff every realized signal pair is consistent with exactly one
+    secret; an unqualified edge passes iff, for every realized signal pair,
+    the count is identical across all p^L secrets. Never silently passes:
+    when p^(L+m) exceeds the budget the result is an explicit "not-checked".
     """
     scheme.check_for_instance(inst)
     return _edge_oracle(inst, scheme, edge, budget)
@@ -452,9 +453,9 @@ def _edge_oracle(inst: CdsInstance, scheme: LinearScheme, edge: tuple[int, int],
             states=states,
             detail=f"p^(L+m) = {p}^{scheme.L + m} = {states} exceeds budget {budget}",
         )
-    h_ref = h_stack[:, ref_cols]
     secrets = _all_tuples(p, scheme.L)
-    hz = np.mod(_all_tuples(p, m) @ h_ref.T, p)  # p^m x 2N
+    hz = _noise_parts(h_stack[:, ref_cols], p)  # the distinct noise parts, each from mult of the p^m assignments
+    mult = p**m // len(hz)
     fs = np.mod(secrets @ f_stack.T, p)  # p^L x 2N
     n_secrets = len(secrets)
 
@@ -478,32 +479,29 @@ def _edge_oracle(inst: CdsInstance, scheme: LinearScheme, edge: tuple[int, int],
             keys = part if keys is None else np.add(keys, part, out=keys)
         return np.zeros(n_secrets * len(hz), dtype=dtype) if keys is None else keys.ravel()
 
-    grid, pairs, counts, bounds = _pair_table(2 * scheme.N, p, signal_keys, n_secrets)
-    secret_of = pairs % n_secrets
-    starts, sizes = bounds[:-1], np.diff(bounds)  # sizes: distinct secrets per signal pair
+    # distinct noise parts give one secret distinct signals: a run holds the secrets that give its pair
+    keys, srt, bounds = _signal_runs(2 * scheme.N, p, signal_keys)
+    runs = np.diff(bounds)
     if kind == "qualified":
-        bad = np.flatnonzero(sizes > 1)
+        bad = np.flatnonzero(runs > 1)
         detail = "a signal pair is consistent with more than one secret"
     else:
-        # a secret never seen with a signal pair has count 0 for it
-        low = np.where(sizes < n_secrets, 0, np.minimum.reduceat(counts, starts))
-        bad = np.flatnonzero(np.maximum.reduceat(counts, starts) != low)
+        bad = np.flatnonzero(runs < n_secrets)  # a secret missing from a run has count 0
         detail = "signal pair counts differ across secrets"
     if not bad.size:
         return OracleResult(edge=edge, kind=kind, status="pass", states=states)
-    first, stop = bounds[bad[0]], bounds[bad[0] + 1]
-    # the least failing signal pair, rebuilt from its first state (secret, noise)
-    s_idx = secret_of[first]
-    vals = np.mod(fs[s_idx] + hz[np.argmax(grid[s_idx] == pairs[first])], p).tolist()
+    # the least failing signal pair, rebuilt from its first state (secret, noise part)
+    hits = keys.reshape(n_secrets, -1) == srt[bounds[bad[0]]]
+    gives = hits.any(axis=1)  # the secrets that give it
+    s_idx = int(np.argmax(gives))
+    vals = np.mod(fs[s_idx] + hz[np.argmax(hits[s_idx])], p).tolist()
     example = {"signals": {va: vals[: scheme.N], vb: vals[scheme.N :]}}
     if kind == "qualified":
-        example["secrets"] = [secrets[i].tolist() for i in secret_of[first : first + 2]]
+        example["secrets"] = [secrets[i].tolist() for i in np.flatnonzero(gives)[:2]]
     else:
-        vec = np.zeros(n_secrets, dtype=np.int64)
-        vec[secret_of[first:stop]] = counts[first:stop]
-        lo, hi = int(np.argmin(vec)), int(np.argmax(vec))
-        example["secret_low"], example["count_low"] = secrets[lo].tolist(), int(vec[lo])
-        example["secret_high"], example["count_high"] = secrets[hi].tolist(), int(vec[hi])
+        lo = int(np.argmin(gives))
+        example["secret_low"], example["count_low"] = secrets[lo].tolist(), 0
+        example["secret_high"], example["count_high"] = secrets[s_idx].tolist(), mult
     return OracleResult(edge=edge, kind=kind, status="fail", states=states, detail=detail, counterexample=example)
 
 

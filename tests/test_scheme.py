@@ -1,6 +1,7 @@
 import itertools
 import json
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -16,7 +17,8 @@ from cdscover.scheme import (
     CheckRecord,
     LinearScheme,
     SchemeError,
-    _pair_table,
+    _noise_parts,
+    _signal_runs,
     entropic_oracle_all,
     entropic_oracle_edge,
     VerificationReport,
@@ -508,6 +510,9 @@ def oracle_edges(draw):
 @example(("unqualified", 17, 1, 1, 8, True, 0))  # 17^16 >= 2^62, secret masked by noise
 @example(("qualified", 3, 2, 3, 20, True, 1))
 @example(("unqualified", 3, 1, 1, 0, False, 0))  # N = 0: empty signals, no key group
+@example(("unqualified", 3, 1, 3, 1, False, 26))  # 27 noise assignments give 3 parts: count_high = mult = 9
+@example(("unqualified", 3, 2, 3, 1, False, 224))  # the same, with a later secret of count 0
+@example(("qualified", 2, 1, 3, 1, False, 7))  # 8 noise assignments, 2 parts
 @settings(max_examples=100, deadline=None)
 def test_oracle_matches_dict_enumeration(edge):
     kind, p, L, L_Z, N, masked, seed = edge
@@ -526,60 +531,68 @@ def test_oracle_matches_dict_enumeration(edge):
     assert (res.status, res.states, res.counterexample) == _oracle_by_enumeration(scheme, kind)
 
 
-def _assert_pair_table_matches_tally(width, p, n_secrets, rows):
-    """``_pair_table`` on ``rows`` (an equal share of samples per secret, in
-    secret order, keyed in uint32 where every pair key fits) against a dict
-    tally of (signal, secret) pairs; returns the grid."""
-    dtype = np.uint32 if p**width * n_secrets <= 2**32 else np.int64
-    grid, pairs, counts, bounds = _pair_table(
-        width, p, lambda cols, pw, dt: (rows[:, cols] @ pw).astype(dt), n_secrets
-    )
-    assert grid.dtype == pairs.dtype == dtype
-    signal_of = {int(k) // n_secrets: tuple(row) for k, row in zip(grid.ravel(), rows.tolist())}
-    got = [(signal_of[int(k) // n_secrets], int(k) % n_secrets, int(c)) for k, c in zip(pairs, counts)]
-    tally = {}
-    for row, sec in zip(rows.tolist(), np.repeat(np.arange(n_secrets), len(rows) // n_secrets).tolist()):
-        tally[tuple(row), sec] = tally.get((tuple(row), sec), 0) + 1
-    key = lambda item: (sum(v * p**c for c, v in enumerate(item[0][0])), item[0][1])  # noqa: E731
-    assert got == [(row, sec, c) for (row, sec), c in sorted(tally.items(), key=key)]
-    assert bounds.tolist() == [i for i in range(len(got) + 1) if i in (0, len(got)) or got[i][0] != got[i - 1][0]]
-    return grid
+def _assert_signal_runs_match_tally(width, p, rows):
+    """``_signal_runs`` on ``rows`` (keyed in uint32 where every signal key
+    fits) against a dict tally of the rows in base-p key order; returns the keys."""
+    keys, srt, bounds = _signal_runs(width, p, lambda cols, pw, dt: (rows[:, cols] @ pw).astype(dt))
+    assert keys.dtype == srt.dtype == (np.uint32 if p**width <= 2**32 else np.int64)
+    assert srt.tolist() == sorted(keys.tolist())
+    signal_of = {int(k): tuple(row) for k, row in zip(keys, rows.tolist())}
+    tally = Counter(map(tuple, rows.tolist()))
+    assert len(signal_of) == len(tally)  # equal rows share a key, and distinct rows do not
+    got = [(signal_of[int(srt[b])], int(e - b)) for b, e in zip(bounds[:-1], bounds[1:])]
+    assert got == sorted(tally.items(), key=lambda item: sum(v * p**c for c, v in enumerate(item[0])))
+    return keys
 
 
 @pytest.mark.parametrize("width", [1, 2, 3, 5])
-def test_pair_table_keys_never_wrap(width):
-    # from width 2 on, p^width times the secret count overflows a single
-    # int64 key: at width 2 only the room for the secret is missing
+def test_signal_runs_keys_never_wrap(width):
+    # p^width is above 2^32 from width 2 on, and at or above 2^62 from width
+    # 3 on, where one int64 key would wrap
     p = 2**31 - 1
     rng = np.random.default_rng(width)
     pool = rng.integers(0, p, size=(6, width))
-    rows = pool[rng.integers(0, 6, size=60)]  # 20 samples of each secret, in secret order
-    _assert_pair_table_matches_tally(width, p, 3, rows)
+    pool[0] = p - 1
+    pool[1] = pool[0]
+    pool[1, 0] = p - 2  # differs from the largest signal in the least significant residue only
+    _assert_signal_runs_match_tally(width, p, pool[rng.integers(0, 6, size=60)])
 
 
 @given(
     st.sampled_from([2, 3, 5, 17, 257]),
     st.integers(0, 40),
-    st.integers(1, 5),
-    st.integers(1, 12),
+    st.integers(1, 40),
     st.integers(0, 2**32 - 1),
 )
-@example(2, 30, 4, 3, 0)  # pair range exactly 2^32: uint32
-@example(2, 32, 1, 3, 0)  # largest key 2^32 - 1: uint32
-@example(2, 31, 4, 3, 0)  # pair range 2^33: int64
+@example(2, 32, 8, 0)  # largest key 2^32 - 1: uint32
+@example(2, 33, 8, 0)  # int64
+@example(257, 3, 8, 0)  # 257^3 < 2^32: uint32
+@example(257, 4, 8, 0)  # 257^4 > 2^32: int64
 @settings(max_examples=100, deadline=None)
-def test_pair_table_matches_dict_tally(p, width, n_secrets, per_secret, seed):
-    # samples drawn from a small pool, so that pairs repeat; the pool holds
-    # the largest signal, and the last secret sees it, so the largest pair
-    # key p^width * n_secrets - 1 is reached where it is not renumbered
+def test_signal_runs_match_dict_tally(p, width, count, seed):
+    # rows drawn from a small pool, so that signals repeat; the pool holds
+    # the largest signal, so the largest key p^width - 1 is reached where it
+    # is not renumbered
     rng = np.random.default_rng(seed)
     pool = rng.integers(0, p, size=(4, width))
     pool[0] = p - 1
-    picks = rng.integers(0, len(pool), size=n_secrets * per_secret)
+    picks = rng.integers(0, len(pool), size=count)
     picks[-1] = 0
-    grid = _assert_pair_table_matches_tally(width, p, n_secrets, pool[picks])
-    if p**width * n_secrets < 2**62:
-        assert int(grid.max()) == p**width * n_secrets - 1
+    keys = _assert_signal_runs_match_tally(width, p, pool[picks])
+    if p**width < 2**62:
+        assert int(keys.max()) == p**width - 1
+
+
+@given(st.sampled_from([2, 3, 5]), st.integers(0, 4), st.integers(0, 5), st.integers(0, 2**32 - 1))
+@example(3, 0, 2, 0)  # no signal rows: the one empty part
+@settings(max_examples=60, deadline=None)
+def test_noise_parts_are_the_distinct_values(p, rows, cols, seed):
+    # low-rank maps too, where the p^cols assignments repeat parts
+    rng = np.random.default_rng(seed)
+    h = rng.integers(0, p, size=(rows, 2)) @ rng.integers(0, p, size=(2, cols)) * (rng.random(cols) < 0.8)
+    parts = _noise_parts(h, p).tolist()
+    values = {tuple(int(v) % p for v in h @ z) for z in itertools.product(range(p), repeat=cols)}
+    assert len(parts) == len(values) and set(map(tuple, parts)) == values
 
 
 @st.composite
@@ -682,8 +695,9 @@ def test_oracle_all_checks_the_scheme_once(monkeypatch):
 
 
 def test_oracle_peak_memory_on_fig2():
-    # 1,594,323 states per unqualified edge, keyed in uint32: the int64
-    # keys and np.unique's counts peaked at 39.6 MiB
+    # 1,594,323 states per unqualified edge, but only 531,441 (secret,
+    # distinct noise part) signals, keyed in uint32: the peak is 5.6 MiB,
+    # where keying every state with its secret took 27.9
     inst = cc.catalog.builtin_instance("fig2")
     tracemalloc.start()
     try:
@@ -692,7 +706,7 @@ def test_oracle_peak_memory_on_fig2():
     finally:
         tracemalloc.stop()
     assert all(r.passed for r in results) and len(results) == 8
-    assert peak < 34 * 2**20
+    assert peak < 8 * 2**20
 
 
 def test_oracle_counts_sparsely():
