@@ -200,7 +200,8 @@ def random_scheme_search(
     edge with fewer than L of them can never pass. Such a configuration's
     draws are still made but not tested, which keeps the rng stream and
     every seeded result. Any returned scheme has passed verify_linear;
-    None after budget exhaustion proves nothing.
+    None after budget exhaustion proves nothing. With a qualified edge and
+    L > N no configuration can be repaired, so None comes before any draw.
     A modulus too large for exact int64 products raises FieldError.
     """
     if seed < 0:
@@ -211,6 +212,8 @@ def random_scheme_search(
     field = PrimeField(p)
     if N > L_Z:
         return None  # no full-row-rank noise precoder exists
+    if inst.qualified and L > N:
+        return None  # no two sets of N coordinates share L: every draw fails repair
     rng = np.random.default_rng(seed)
     nodes = inst.nodes()
     node_idx = {n: i for i, n in enumerate(nodes)}

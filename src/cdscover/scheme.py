@@ -208,23 +208,27 @@ def verify_linear(inst: CdsInstance, scheme: LinearScheme) -> VerificationReport
     in dimension rank(H_v) + rank(H_u) - rank(H), the noise-alignment datum
     (at least L on a qualified edge). Each H_v must also have full row rank.
 
-    By rank([H | F]) = rank(H) + rank(W F), one elimination of [H | F]
-    pivoting on the H columns gives an edge's checks: its rows past rank(H)
-    hold W F. ``batch_rref`` reduces all edges together.
+    ``_edge_checks`` gives every edge's rank(H) and W F: by matching
+    coordinates when every H_v has distinct unit rows (selection noise, of
+    rank N), else by ``batch_rref``, which then finds each rank(H_v) too.
+    Only the qualified edges' W F are reduced, on their L columns.
     """
     scheme.check_for_instance(inst)
     p, L, N = scheme.field.p, scheme.L, scheme.N
     nodes = inst.nodes()  # in node_key order
     edges = list(inst.edges_with_kind())
     f_all, h_all, ends = _node_arrays(inst, scheme, [e for e, _ in edges])
-    node_h = _used_first(h_all, np.arange(len(nodes)), h_all.any(axis=1))
-    noise_rank = batch_rref(node_h, p, node_h.shape[2])
+    partner = _partners(h_all, ends)
+    noise_rank = np.full(len(nodes), N)
+    if partner is None:
+        node_h = _used_first(h_all, np.arange(len(nodes)), h_all.any(axis=1))
+        noise_rank = batch_rref(node_h, p, node_h.shape[2])
     records = [
         CheckRecord(subject=node, kind="noise-rank", passed=r == N, detail=f"rank(H)={r}, N={N}")
         for node, r in zip(nodes, noise_rank.tolist())
     ]
     qualified = np.array([kind == "qualified" for _, kind in edges], dtype=bool)
-    h_rank, wf = _edge_checks(f_all, h_all, ends, p)
+    h_rank, wf = _edge_checks(f_all, h_all, ends, p, partner)
     dims = noise_rank[ends].sum(axis=1) - h_rank
     ranks = wf.any(axis=(1, 2)).astype(np.intp)  # rank of W F, 0 iff it is zero
     ranks[qualified] = batch_rref(wf[qualified], p, L)
@@ -282,21 +286,43 @@ def _used_first(h_all: np.ndarray, idx: np.ndarray, used: np.ndarray) -> np.ndar
     return h_all[idx[:, None, None], np.arange(h_all.shape[1])[None, :, None], cols]
 
 
+def _partners(h_all: np.ndarray, ends: np.ndarray) -> np.ndarray | None:
+    """For selection noise, every node's H (n x N x L_Z) with distinct unit
+    rows: per edge (v, u) and row r of H_v, the row of H_u that selects the
+    same coordinate, or -1 (E x N), read from each node's coordinate -> row
+    table. Else None."""
+    if not (h_all.sum(axis=2) == 1).all():  # residues summing to 1: one 1, the rest 0
+        return None
+    n, N, L_Z = h_all.shape
+    cols = h_all @ np.arange(L_Z)  # the coordinate each row selects
+    rows = np.full((n, L_Z), -1, dtype=np.intp)
+    rows[np.arange(n)[:, None], cols] = np.arange(N)
+    return rows[ends[:, 1:], cols[ends[:, 0]]] if np.count_nonzero(rows >= 0) == n * N else None
+
+
 def _edge_checks(
-    f_all: np.ndarray, h_all: np.ndarray, ends: np.ndarray, p: int, *extra: np.ndarray
+    f_all: np.ndarray, h_all: np.ndarray, ends: np.ndarray, p: int, partner: np.ndarray | None, *extra: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """rank(H) of every edge, and its stack [H | F | X...] reduced on the
-    noise columns, less those columns and with the rows above rank(H)
-    zeroed: the rows left hold W F (and W X for each extra E x 2N x k block
-    X), W a basis of the left null space of H. Each edge's 2N x U noise
-    stack keeps the U noise columns used at either end, gathered straight
-    from the node arrays.
+    """rank(H) of every edge and, as rows of an E x R x (L + k) stack with
+    the rest zero, W F (and W X for each extra E x 2N x k block X), W a basis
+    of the left null space of its noise stack H = [H_v; H_u]. With selection
+    noise (``partner``, from ``_partners``) W is e_(v,r) - e_(u,r') over the
+    s row pairs that select one coordinate: rank(H) = 2N - s, W F is
+    F_v[r] - F_u[r'] and R = N. Otherwise [H | F | X...] is reduced on the U
+    noise columns used at either end, gathered straight from the node
+    arrays; its rows past rank(H) hold W F, and R = 2N.
     """
     N, L = f_all.shape[1:]
+    blocks = [f_all[ends].reshape(len(ends), 2 * N, L), *extra]
+    if partner is not None:
+        stack = np.concatenate(blocks, axis=2)
+        diff = stack[:, :N] - stack[np.arange(len(ends))[:, None], N + partner]
+        diff[partner < 0] = 0
+        return 2 * N - np.count_nonzero(partner >= 0, axis=1), diff % p
     used = h_all.any(axis=1)[ends].any(axis=1)
     h_stack = np.concatenate([_used_first(h_all, ends[:, 0], used), _used_first(h_all, ends[:, 1], used)], axis=1)
     U = h_stack.shape[2]
-    stack = np.concatenate([h_stack, f_all[ends].reshape(len(ends), 2 * N, L), *extra], axis=2)
+    stack = np.concatenate([h_stack, *blocks], axis=2)
     h_rank = batch_rref(stack, p, U)
     rest = stack[:, :, U:]
     rest[np.arange(2 * N) < h_rank[:, None]] = 0
@@ -581,12 +607,13 @@ def simulate(inst: CdsInstance, scheme: LinearScheme, seed: int, trials: int) ->
     edges = sorted(inst.qualified)
     f_all, h_all, ends = _node_arrays(inst, scheme, edges)
     eye = np.broadcast_to(np.eye(2 * N, dtype=np.int64), (len(edges), 2 * N, 2 * N))
-    _, wf_w = _edge_checks(f_all, h_all, ends, p, eye)
+    _, wf_w = _edge_checks(f_all, h_all, ends, p, _partners(h_all, ends), eye)
     decodable = batch_rref(wf_w, p, L) == L
     precoders = np.concatenate([f_all, h_all], axis=2)
     ok_ends, decoder = ends[decodable], wf_w[decodable, :L, L:]
     successes = np.zeros(len(edges), dtype=np.int64)
-    for at in range(0, trials, SIMULATE_BLOCK):
+    # with no decodable edge there is nothing to decode, and D may have fewer than L rows
+    for at in range(0, trials if decodable.any() else 0, SIMULATE_BLOCK):
         s_block = s_draws[at : at + SIMULATE_BLOCK]
         signals = precoders @ np.concatenate([s_block, z_draws[at : at + SIMULATE_BLOCK]], axis=1).T
         signals %= p  # n x N x block

@@ -437,6 +437,30 @@ def test_search_impossible_shape_returns_none(catalog_instances):
     assert random_scheme_search(catalog_instances["fig2"], 3, 1, 3, 2, seed=1, budget=10) is None
 
 
+@pytest.mark.parametrize(
+    "name, L, N, L_Z", [("fig2", 2, 1, 3), ("matching2", 2, 1, 2), ("fig8", 3, 2, 4), ("fig5", 4, 3, 6)]
+)
+def test_search_returns_none_before_drawing_when_L_exceeds_N(catalog_instances, monkeypatch, name, L, N, L_Z):
+    # N coordinates per node can never share L > N on a qualified edge, so
+    # every sampled configuration fails repair and the search needs no draw
+    inst = catalog_instances[name]
+    nodes = inst.nodes()
+    qedges = [(a_node(x), b_node(y)) for x, y in sorted(inst.qualified)]
+    rng = np.random.default_rng(0)
+    assert all(_sample_atoms(rng, nodes, qedges, L, N, L_Z) is None for _ in range(200))
+
+    def draw(*args):
+        raise AssertionError("the search drew a configuration")
+
+    monkeypatch.setattr("cdscover.bounds._sample_atoms", draw)
+    assert random_scheme_search(inst, p=3, L=L, N=N, L_Z=L_Z, seed=0, budget=10**9) is None
+    # the refusals still come first
+    with pytest.raises(cc.FieldError):
+        random_scheme_search(inst, 4, L, N, L_Z, seed=0, budget=1)
+    with pytest.raises(ValueError):
+        random_scheme_search(inst, 3, L, N, L_Z, seed=-1, budget=1)
+
+
 def test_search_above_bound_returns_none(catalog_instances):
     # rate 1/2 target on a bound-2/5 instance can never verify
     inst = catalog_instances["fig2"]

@@ -18,6 +18,8 @@ from cdscover.scheme import (
     LinearScheme,
     SchemeError,
     _noise_parts,
+    _node_arrays,
+    _partners,
     _signal_runs,
     entropic_oracle_all,
     entropic_oracle_edge,
@@ -221,6 +223,22 @@ def _reference_verify(inst, scheme):
 
 
 @st.composite
+def drawn_instances(draw):
+    """Instances on at most 3x3 nodes, each node pair qualified,
+    unqualified or no edge, so that nodes may be edgeless."""
+    a_count, b_count = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    pairs = [(x, y) for x in range(1, a_count + 1) for y in range(1, b_count + 1)]
+    kinds = draw(st.lists(st.sampled_from(("qualified", "unqualified", None)), min_size=len(pairs), max_size=len(pairs)))
+    return CdsInstance(
+        "drawn",
+        a_count,
+        b_count,
+        frozenset(e for e, k in zip(pairs, kinds) if k == "qualified"),
+        frozenset(e for e, k in zip(pairs, kinds) if k == "unqualified"),
+    )
+
+
+@st.composite
 def verifier_schemes(draw):
     """Small schemes over p in {2, 3, 5, 7} on drawn instances.
 
@@ -234,16 +252,7 @@ def verifier_schemes(draw):
     p = draw(st.sampled_from((2, 3, 5, 7)))
     L, N = draw(st.integers(1, 2)), draw(st.integers(1, 3))
     L_Z = draw(st.integers(N - 1, 2 * N))
-    a_count, b_count = draw(st.integers(1, 3)), draw(st.integers(1, 3))
-    pairs = [(x, y) for x in range(1, a_count + 1) for y in range(1, b_count + 1)]
-    kinds = draw(st.lists(st.sampled_from(("qualified", "unqualified", None)), min_size=len(pairs), max_size=len(pairs)))
-    inst = CdsInstance(
-        "drawn",
-        a_count,
-        b_count,
-        frozenset(e for e, k in zip(pairs, kinds) if k == "qualified"),
-        frozenset(e for e, k in zip(pairs, kinds) if k == "unqualified"),
-    )
+    inst = draw(drawn_instances())
     field = PrimeField(p)
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     mix = rng.integers(0, p, size=(L_Z, L))
@@ -268,6 +277,117 @@ def verifier_schemes(draw):
 def test_verify_linear_matches_per_edge_reference(drawn):
     inst, scheme = drawn
     assert verify_linear(inst, scheme) == _reference_verify(inst, scheme)
+
+
+@st.composite
+def selection_schemes(draw):
+    """(instance, scheme, variant): every H_v is N distinct unit rows,
+    unless ``variant`` names the one change that leaves selection noise.
+
+    p is 2, 3, 5 or 2^31 - 1, where check_field_size admits only
+    N = L = L_Z = 1. Nodes take their coordinates from a pool of at most
+    three sets, each node in its own row order, so an edge's ends share
+    all, some or none of them. A secret precoder is random, zero, or reads
+    one of two coordinate tables (row r holds G[t] for its coordinate t):
+    ends on one table agree on every shared coordinate, ends on different
+    tables generally differ, so that edges pass as well as fail. The
+    variant "duplicate" copies a node's first noise row onto its last
+    (rank N - 1), and "negated" writes p - 1 in place of one 1.
+    """
+    p = draw(st.sampled_from((2, 3, 5, 2**31 - 1)))
+    L, N = (1, 1) if p > 5 else (draw(st.integers(1, 2)), draw(st.integers(1, 3)))
+    L_Z = 1 if p > 5 else draw(st.integers(N, 2 * N + 1))
+    inst = draw(drawn_instances())
+    field = PrimeField(p)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    tables = rng.integers(0, p, size=(2, L_Z, L))
+    coordinate_sets = [rng.permutation(L_Z)[:N] for _ in range(draw(st.integers(1, 3)))]
+    precoders = {}
+    for node in inst.nodes():
+        cols = rng.permutation(coordinate_sets[draw(st.integers(0, len(coordinate_sets) - 1))])
+        secret = draw(st.sampled_from(("random", "zero", "table", "table")))
+        f = {"random": rng.integers(0, p, size=(N, L)), "zero": np.zeros((N, L)), "table": tables[rng.integers(2)][cols]}
+        precoders[node] = (FieldMatrix(f[secret], field), FieldMatrix(np.eye(L_Z, dtype=np.int64)[cols], field))
+    variants = [None] + ["duplicate"] * (N > 1) + ["negated"] * (p > 2)
+    variant = draw(st.sampled_from(variants))
+    if variant is not None:
+        node = draw(st.sampled_from(inst.nodes()))
+        f, h = precoders[node]
+        h = h.array.copy()
+        if variant == "duplicate":
+            h[-1] = h[0]
+        else:
+            h[h == 1] = np.where(np.arange(N) == draw(st.integers(0, N - 1)), p - 1, 1)
+        precoders[node] = (f, FieldMatrix(h, field))
+    return inst, LinearScheme(field, L, L_Z, N, precoders), variant
+
+
+def _selection_cases(check):
+    """Run ``check(inst, scheme, variant)`` on drawn selection schemes, in a
+    fixed order, and return what they covered: each p, each variant, shared
+    coordinates repeated across an edge's ends, empty overlaps, edgeless
+    nodes, and which kinds of edge passed and failed."""
+    seen = set()
+
+    @given(selection_schemes())
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    def run(drawn):
+        inst, scheme, variant = drawn
+        check(inst, scheme, variant)
+        seen.update({("p", scheme.field.p), ("variant", variant)})
+        ends = {v for (x, y), _ in inst.edges_with_kind() for v in (a_node(x), b_node(y))}
+        if len(ends) < len(inst.nodes()):
+            seen.add("edgeless node")
+        for r in verify_linear(inst, scheme).records:
+            if r.kind in ("qualified", "unqualified"):
+                seen.update({"empty overlap" if r.overlap_dim == 0 else "shared coordinates", (r.kind, r.passed)})
+
+    run()
+    return seen
+
+
+SELECTION_COVERAGE = {
+    ("p", 2),
+    ("p", 3),
+    ("p", 5),
+    ("p", 2**31 - 1),
+    ("variant", None),
+    ("variant", "duplicate"),
+    ("variant", "negated"),
+    "edgeless node",
+    "empty overlap",
+    "shared coordinates",
+    ("qualified", True),
+    ("qualified", False),
+    ("unqualified", True),
+    ("unqualified", False),
+}
+
+
+def test_verify_linear_matches_per_edge_reference_on_selection_noise():
+    # matched coordinates give every selection-noise edge's checks; any
+    # other noise, a duplicated unit row or an entry p - 1, is eliminated
+    def check(inst, scheme, variant):
+        report = verify_linear(inst, scheme)
+        assert report == _reference_verify(inst, scheme)
+        _, h_all, ends = _node_arrays(inst, scheme, [e for e, _ in inst.edges_with_kind()])
+        assert (_partners(h_all, ends) is None) == (variant is not None)
+        ranks = {r.subject: r.passed for r in report.records if r.kind == "noise-rank"}
+        assert sum(not ok for ok in ranks.values()) == (variant == "duplicate")
+
+    assert _selection_cases(check) == SELECTION_COVERAGE
+
+
+def test_simulate_decodes_where_the_verifier_passes_on_selection_noise():
+    def check(inst, scheme, variant):
+        reference = {r.subject: r.passed for r in _reference_verify(inst, scheme).records if r.kind == "qualified"}
+        linear = {r.subject: r.passed for r in verify_linear(inst, scheme).records if r.kind == "qualified"}
+        sim = simulate(inst, scheme, seed=1, trials=20)
+        decodable = {f"A{e.edge[0]}-B{e.edge[1]}": e.decodable for e in sim.edges}
+        assert decodable == linear == reference
+        assert all(e.decode_successes == (20 if e.decodable else 0) for e in sim.edges)
+
+    assert _selection_cases(check) == SELECTION_COVERAGE
 
 
 def _synthesized_and_searched():
@@ -609,16 +729,7 @@ def oracle_schemes(draw):
     p = draw(st.sampled_from((2, 3, 5)))
     L, N = draw(st.integers(1, 2)), draw(st.integers(1, 3))
     L_Z = draw(st.integers(N, 3))
-    a_count, b_count = draw(st.integers(1, 3)), draw(st.integers(1, 3))
-    pairs = [(x, y) for x in range(1, a_count + 1) for y in range(1, b_count + 1)]
-    kinds = draw(st.lists(st.sampled_from(("qualified", "unqualified", None)), min_size=len(pairs), max_size=len(pairs)))
-    inst = CdsInstance(
-        "drawn",
-        a_count,
-        b_count,
-        frozenset(e for e, k in zip(pairs, kinds) if k == "qualified"),
-        frozenset(e for e, k in zip(pairs, kinds) if k == "unqualified"),
-    )
+    inst = draw(drawn_instances())
     field = PrimeField(p)
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     mix = rng.integers(0, p, size=(L_Z, L))
@@ -761,6 +872,15 @@ def test_simulate_broken_scheme_fails_sometimes():
     report = simulate(inst, scheme, seed=5, trials=10_000)
     freqs = [e.success_frequency for e in report.edges if e.edge == (1, 1)]
     assert freqs and freqs[0] < 1.0
+
+
+@pytest.mark.parametrize("h", [[[1, 0]], [[1, 1]]], ids=["selection", "other"])
+def test_simulate_secret_longer_than_both_signals(h):
+    # L = 3 > 2N = 2: no edge decodes, and no decoder of L rows exists
+    f = PrimeField(3)
+    scheme = LinearScheme(f, 3, 2, 1, {n: (FieldMatrix([[1, 2, 0]], f), FieldMatrix(h, f)) for n in ("A1", "B1")})
+    (sim,) = simulate(_two_node_instance("qualified"), scheme, seed=0, trials=10).edges
+    assert (sim.decodable, sim.decode_successes) == (False, 0)
 
 
 # decode successes per qualified edge, from an earlier implementation that
