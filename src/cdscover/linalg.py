@@ -1,9 +1,11 @@
 """Exact linear algebra over prime fields.
 
-Everything here is plain Gauss-Jordan elimination on int64 arrays with
-modular arithmetic, plus the two constructions the rest of the package
-leans on: row-space intersection with explicit coefficient matrices, and
-Cauchy matrices (every square submatrix invertible).
+Everything here rests on one Gauss-Jordan kernel, ``batch_rref``, which
+reduces a stack of int64 matrices mod p; a single matrix is reduced as a
+stack of one. On top of it sit rank, RREF with pivots or a carried
+transform, the null space, and the two constructions the rest of the
+package leans on: row-space intersection with explicit coefficient
+matrices, and Cauchy matrices (every square submatrix invertible).
 """
 
 from __future__ import annotations
@@ -13,38 +15,6 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .fields import FieldError, FieldMatrix, PrimeField
-
-
-def _rref_inplace(a: np.ndarray, p: int, n_cols: int | None = None) -> list[int]:
-    """Reduce ``a`` to RREF mod p in place, pivoting on its first ``n_cols`` columns.
-
-    Returns the pivot column list. ``a`` must be int64 and already reduced
-    mod p. Columns past ``n_cols`` (all of them by default) only follow the
-    row operations, which is how a transform is carried along.
-    """
-    n_rows = a.shape[0]
-    if n_cols is None:
-        n_cols = a.shape[1]
-    pivots: list[int] = []
-    row = 0
-    for col in range(n_cols):
-        if row >= n_rows:
-            break
-        nz = np.nonzero(a[row:, col])[0]
-        if nz.size == 0:
-            continue
-        piv = nz[0] + row
-        if piv != row:
-            a[[row, piv]] = a[[piv, row]]
-        inv = pow(int(a[row, col]), -1, p)
-        a[row] = (a[row] * inv) % p
-        factors = a[:, col].copy()
-        factors[row] = 0
-        a -= np.outer(factors, a[row])
-        a %= p
-        pivots.append(col)
-        row += 1
-    return pivots
 
 
 def _inverses(x: np.ndarray, p: int) -> np.ndarray:
@@ -66,12 +36,12 @@ def _inverses(x: np.ndarray, p: int) -> np.ndarray:
 def batch_rref(stack: np.ndarray, p: int, n_cols: int) -> np.ndarray:
     """Reduce each matrix of a (B, R, C) stack to RREF mod p in place.
 
-    The stack kernel of ``_rref_inplace``, with its pivot rule: in column
-    order over the first ``n_cols`` columns, the first nonzero at or below
-    the current row. Returns each matrix's pivot count. ``stack`` must be
-    int64 and already reduced mod p. One column step costs a few numpy
-    calls for the whole stack, so many small matrices take one call; a
-    single matrix runs faster through ``_rref_inplace``.
+    Pivots in column order over the first ``n_cols`` columns, on the first
+    nonzero at or below the current row; columns past ``n_cols`` only follow
+    the row operations, which is how a transform is carried along. Returns
+    each matrix's pivot count. ``stack`` must be int64 and already reduced
+    mod p. One column step costs a few numpy calls for the whole stack, so
+    many small matrices take one call; a single matrix is a stack of one.
     """
     n_mats, n_rows = stack.shape[:2]
     rank = np.zeros(n_mats, dtype=np.intp)
@@ -99,9 +69,19 @@ def batch_rref(stack: np.ndarray, p: int, n_cols: int) -> np.ndarray:
     return rank
 
 
+def _reduce(a: np.ndarray, p: int, n_cols: int) -> list[int]:
+    """Reduce one int64 matrix, already reduced mod p, to RREF in place.
+
+    Returns the pivot columns: the first nonzero within ``n_cols`` of each
+    of the first rank rows.
+    """
+    rank = int(batch_rref(a[None], p, n_cols)[0])
+    return [int(np.flatnonzero(row[:n_cols])[0]) for row in a[:rank]]
+
+
 def residue_rank(a: np.ndarray, p: int) -> int:
     """Rank mod p of an integer array, which is left unchanged."""
-    return len(_rref_inplace(np.mod(a, p), p))
+    return int(batch_rref(np.mod(a, p).astype(np.int64)[None], p, np.shape(a)[1])[0])
 
 
 class RankRref(NamedTuple):
@@ -113,14 +93,14 @@ class RankRref(NamedTuple):
 def rank_rref(m: FieldMatrix) -> RankRref:
     """Rank, reduced row echelon form and pivot columns of ``m``."""
     a = m.array.copy()
-    pivots = _rref_inplace(a, m.field.p)
+    pivots = _reduce(a, m.field.p, m.cols)
     return RankRref(len(pivots), FieldMatrix(a, m.field), pivots)
 
 
 def rref_with_transform(m: FieldMatrix) -> tuple[FieldMatrix, FieldMatrix, list[int]]:
     """RREF of ``m`` together with the transform T such that T @ m == rref."""
     work = np.hstack([m.array, np.eye(m.rows, dtype=np.int64)])
-    pivots = _rref_inplace(work, m.field.p, n_cols=m.cols)
+    pivots = _reduce(work, m.field.p, m.cols)
     return FieldMatrix(work[:, : m.cols], m.field), FieldMatrix(work[:, m.cols :], m.field), pivots
 
 

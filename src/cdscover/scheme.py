@@ -111,6 +111,9 @@ def parse_scheme(text: str) -> LinearScheme:
     L, L_Z, N = obj["L"], obj["Lz"], obj["N"]
     if N < 1:
         raise SchemeError(f"field 'N' must be positive, got {N}")
+    for key in ("L", "Lz"):
+        if obj[key] < 0:
+            raise SchemeError(f"field '{key}' must be non-negative, got {obj[key]}")
     try:
         check_field_size(obj["p"], L, L_Z, N)
         fld = PrimeField(obj["p"])
@@ -588,10 +591,10 @@ def simulate(inst: CdsInstance, scheme: LinearScheme, seed: int, trials: int) ->
     edge's [W F | W] on its L columns then leaves [I_L | D] in its first L
     rows, with D F = I_L and D H = 0 for the stacked precoders of its ends,
     so D maps the pair's signals to the secret on every trial. An edge that
-    is not decodable counts no success. S and Z are drawn for all trials at
-    once; the signals are computed and decoded in blocks of at most
-    ``SIMULATE_BLOCK`` trials. Secrecy on unqualified edges is checked by
-    ``verify_linear`` and the entropic oracle, not here.
+    is not decodable counts no success. S and Z are drawn, and the signals
+    computed and decoded, in blocks of at most ``SIMULATE_BLOCK`` trials,
+    so memory does not grow with the trial count. Secrecy on unqualified
+    edges is checked by ``verify_linear`` and the entropic oracle, not here.
     """
     scheme.check_for_instance(inst)
     if seed < 0:
@@ -602,8 +605,6 @@ def simulate(inst: CdsInstance, scheme: LinearScheme, seed: int, trials: int) ->
         return SimulationReport(trials=0, seed=seed, edges=())
     rng = np.random.default_rng(seed)
     p, L, N = scheme.field.p, scheme.L, scheme.N
-    s_draws = rng.integers(0, p, size=(trials, L), dtype=np.int64)
-    z_draws = rng.integers(0, p, size=(trials, scheme.L_Z), dtype=np.int64)
     edges = sorted(inst.qualified)
     f_all, h_all, ends = _node_arrays(inst, scheme, edges)
     eye = np.broadcast_to(np.eye(2 * N, dtype=np.int64), (len(edges), 2 * N, 2 * N))
@@ -614,12 +615,13 @@ def simulate(inst: CdsInstance, scheme: LinearScheme, seed: int, trials: int) ->
     successes = np.zeros(len(edges), dtype=np.int64)
     # with no decodable edge there is nothing to decode, and D may have fewer than L rows
     for at in range(0, trials if decodable.any() else 0, SIMULATE_BLOCK):
-        s_block = s_draws[at : at + SIMULATE_BLOCK]
-        signals = precoders @ np.concatenate([s_block, z_draws[at : at + SIMULATE_BLOCK]], axis=1).T
+        block = min(SIMULATE_BLOCK, trials - at)
+        draws = rng.integers(0, p, size=(L + scheme.L_Z, block), dtype=np.int64)  # S over Z
+        signals = precoders @ draws
         signals %= p  # n x N x block
-        decoded = decoder @ signals[ok_ends].reshape(len(ok_ends), 2 * N, len(s_block))
+        decoded = decoder @ signals[ok_ends].reshape(len(ok_ends), 2 * N, block)
         decoded %= p  # D applied to each pair's signals
-        successes[decodable] += (decoded == s_block.T).all(axis=1).sum(axis=1)
+        successes[decodable] += (decoded == draws[:L]).all(axis=1).sum(axis=1)
     sims = [
         EdgeSimulation(edge, "qualified", trials, n, ok)
         for edge, n, ok in zip(edges, successes.tolist(), decodable.tolist())

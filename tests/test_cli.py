@@ -245,6 +245,15 @@ def test_zero_n_exits_2(tmp_path, capsys):
         assert capsys.readouterr().err == "error: field 'N' must be positive, got 0\n"
 
 
+@pytest.mark.parametrize("key", ["L", "Lz"])
+def test_negative_length_exits_2(tmp_path, capsys, key):
+    nodes = {node: {"F": [[1]], "H": [[1]]} for node in ("A1", "A2", "B1")}
+    inst, scheme = _tiny_files(tmp_path, {"p": 3, "L": 1, "Lz": 1, "N": 1, "nodes": nodes, key: -1})
+    for cmd in ("verify", "simulate"):
+        assert main([cmd, inst, scheme]) == 2
+        assert capsys.readouterr().err == f"error: field '{key}' must be non-negative, got -1\n"
+
+
 # L = 0: there is no secret to miss, so every edge decodes
 NO_SECRET = {"p": 2, "L": 0, "Lz": 1, "N": 1, "nodes": {v: {"F": [[]], "H": [[1]]} for v in ("A1", "A2", "B1")}}
 # L_Z = 0: A1 sends s, A2 and B1 send 0, so only the pair A1-B1 reveals s

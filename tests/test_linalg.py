@@ -2,11 +2,10 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from cdscover.fields import FieldError, FieldMatrix, PrimeField
 from cdscover.linalg import (
-    _rref_inplace,
     batch_rref,
     cauchy_matrix,
     nullspace,
@@ -110,8 +109,37 @@ def stacks(draw, primes=(2, 3, 5, 7)):
     return p, stack, draw(st.integers(0, shape[2]))
 
 
+def _reference_rref(a: np.ndarray, p: int, n_cols: int) -> list[int]:
+    """Single-matrix Gauss-Jordan mod p, in place, pivoting on the first
+    ``n_cols`` columns; returns the pivot columns. The reference that
+    ``batch_rref`` and the helpers built on it are checked against."""
+    pivots: list[int] = []
+    row = 0
+    for col in range(n_cols):
+        if row >= a.shape[0]:
+            break
+        nz = np.nonzero(a[row:, col])[0]
+        if nz.size == 0:
+            continue
+        piv = nz[0] + row
+        if piv != row:
+            a[[row, piv]] = a[[piv, row]]
+        a[row] = (a[row] * pow(int(a[row, col]), -1, p)) % p
+        factors = a[:, col].copy()
+        factors[row] = 0
+        a -= np.outer(factors, a[row])
+        a %= p
+        pivots.append(col)
+        row += 1
+    return pivots
+
+
 @given(stacks())
 @settings(max_examples=150, deadline=None)
+@example((3, np.zeros((1, 0, 0), dtype=np.int64), 0))
+@example((3, np.zeros((1, 0, 4), dtype=np.int64), 4))
+@example((5, np.zeros((1, 3, 0), dtype=np.int64), 0))
+@example((2, np.zeros((2, 3, 3), dtype=np.int64), 3))
 def test_batch_rref_matches_single_matrix_kernel(case):
     p, stack, n_cols = case
     work = stack.copy()
@@ -120,10 +148,22 @@ def test_batch_rref_matches_single_matrix_kernel(case):
     for m, red, r in zip(stack, work, ranks.tolist()):
         assert r == residue_rank(m[:, :n_cols], p)
         single = m.copy()
-        assert len(_rref_inplace(single, p, n_cols)) == r
+        assert len(_reference_rref(single, p, n_cols)) == r
         assert np.array_equal(red, single)  # the carried columns follow the same row operations
         if n_cols == m.shape[1]:
             assert np.array_equal(red, rank_rref(fm(m, p)).rref.array)
+        # the single-matrix helpers, on the whole matrix
+        full = m.copy()
+        pivots = _reference_rref(full, p, m.shape[1])
+        rank, rref, pivot_cols = rank_rref(fm(m, p))
+        assert (rank, pivot_cols) == (len(pivots), pivots)
+        assert np.array_equal(rref.array, full)
+        carried = np.hstack([m, np.eye(m.shape[0], dtype=np.int64)])
+        assert _reference_rref(carried, p, m.shape[1]) == pivots
+        red_t, t, pivot_cols = rref_with_transform(fm(m, p))
+        assert pivot_cols == pivots
+        assert np.array_equal(red_t.array, carried[:, : m.shape[1]])
+        assert np.array_equal(t.array, carried[:, m.shape[1] :])
 
 
 def test_batch_rref_large_prime():

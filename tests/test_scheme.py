@@ -14,6 +14,7 @@ from cdscover.graph import CdsInstance, a_node, b_node
 from cdscover.linalg import nullspace, residue_rank
 from cdscover.scheme import (
     DEFAULT_ORACLE_BUDGET,
+    SIMULATE_BLOCK,
     CheckRecord,
     LinearScheme,
     SchemeError,
@@ -109,6 +110,15 @@ def test_parse_scheme_errors():
     for n in (0, -2):
         with pytest.raises(SchemeError, match=rf"^field 'N' must be positive, got {n}$"):
             parse_scheme(json.dumps({"p": 3, "L": 1, "Lz": 1, "N": n, "nodes": {}}))
+
+
+@pytest.mark.parametrize("key, value", [("L", -2), ("L", -1), ("Lz", -1), ("Lz", -5)])
+def test_parse_scheme_refuses_negative_lengths(key, value):
+    obj = {"p": 3, "L": 2, "Lz": 1, "N": 1, "nodes": {}, key: value}
+    with pytest.raises(SchemeError, match=rf"^field '{key}' must be non-negative, got {value}$"):
+        parse_scheme(json.dumps(obj))
+    obj[key] = 0  # no secret or no noise is a valid scheme
+    assert getattr(parse_scheme(json.dumps(obj)), "L_Z" if key == "Lz" else key) == 0
 
 
 def test_field_size_guard_keeps_products_exact():
@@ -881,6 +891,24 @@ def test_simulate_secret_longer_than_both_signals(h):
     scheme = LinearScheme(f, 3, 2, 1, {n: (FieldMatrix([[1, 2, 0]], f), FieldMatrix(h, f)) for n in ("A1", "B1")})
     (sim,) = simulate(_two_node_instance("qualified"), scheme, seed=0, trials=10).edges
     assert (sim.decodable, sim.decode_successes) == (False, 0)
+
+
+def test_simulate_memory_does_not_grow_with_trials():
+    # S and Z are drawn per block of SIMULATE_BLOCK trials, so more trials
+    # add no draws held at once (drawn up front, 100k trials on fig8 held
+    # 20.4 MiB more than 2^14)
+    inst = cc.catalog.builtin_instance("fig8")
+    scheme = cc.catalog.builtin_scheme("fig8-rate-7-18")
+
+    def peak(trials):
+        tracemalloc.start()
+        try:
+            simulate(inst, scheme, seed=0, trials=trials)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(100_000) <= peak(SIMULATE_BLOCK) + 8 * 2**20
 
 
 # decode successes per qualified edge, from an earlier implementation that
