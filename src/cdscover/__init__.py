@@ -39,13 +39,11 @@ from .scheme import (
     verify_linear,
 )
 from .synthesis import (
-    NoiseLayout,
-    CoefficientTable,
+    ComponentPlan,
     SynthesisError,
     SynthesisPlan,
     choose_field,
-    coefficient_table,
-    noise_layout,
+    plan_component,
     render_plan,
     synthesize,
     synthesize_plan,

@@ -141,8 +141,8 @@ def cmd_synth(args) -> int:
     if args.output:
         text += f"\nwrote {args.output}"
     if args.render:
-        text += "\n" + render_plan(plan).rstrip("\n")
         payload["rendering"] = render_plan(plan)
+        text += "\n" + payload["rendering"].rstrip("\n")
     if not args.output and not args.json and not args.render:
         text += "\n" + out.rstrip("\n")
     _emit(args, payload, text)

@@ -224,8 +224,7 @@ def verify_linear(inst: CdsInstance, scheme: LinearScheme) -> VerificationReport
     partner = _partners(h_all, ends)
     noise_rank = np.full(len(nodes), N)
     if partner is None:
-        node_h = _used_first(h_all, np.arange(len(nodes)), h_all.any(axis=1))
-        noise_rank = batch_rref(node_h, p, node_h.shape[2])
+        noise_rank = batch_rref(h_all.copy(), p, scheme.L_Z)
     records = [
         CheckRecord(subject=node, kind="noise-rank", passed=r == N, detail=f"rank(H)={r}, N={N}")
         for node, r in zip(nodes, noise_rank.tolist())
@@ -280,15 +279,6 @@ def _node_arrays(inst: CdsInstance, scheme: LinearScheme, edges) -> tuple[np.nda
     return f_all, h_all, np.array([(x - 1, inst.a_count + y - 1) for x, y in edges], dtype=np.intp).reshape(-1, 2)
 
 
-def _used_first(h_all: np.ndarray, idx: np.ndarray, used: np.ndarray) -> np.ndarray:
-    """``h_all[idx]`` with the columns marked in ``used`` first, in order,
-    cut at the largest count of marked columns in a row of ``used``. The
-    unmarked columns must be zero; they change no rank, so it does not
-    matter which of them the cut keeps."""
-    cols = np.argsort(~used, axis=1, kind="stable")[:, None, : used.sum(axis=1).max(initial=0)]
-    return h_all[idx[:, None, None], np.arange(h_all.shape[1])[None, :, None], cols]
-
-
 def _partners(h_all: np.ndarray, ends: np.ndarray) -> np.ndarray | None:
     """For selection noise, every node's H (n x N x L_Z) with distinct unit
     rows: per edge (v, u) and row r of H_v, the row of H_u that selects the
@@ -311,9 +301,8 @@ def _edge_checks(
     of the left null space of its noise stack H = [H_v; H_u]. With selection
     noise (``partner``, from ``_partners``) W is e_(v,r) - e_(u,r') over the
     s row pairs that select one coordinate: rank(H) = 2N - s, W F is
-    F_v[r] - F_u[r'] and R = N. Otherwise [H | F | X...] is reduced on the U
-    noise columns used at either end, gathered straight from the node
-    arrays; its rows past rank(H) hold W F, and R = 2N.
+    F_v[r] - F_u[r'] and R = N. Otherwise [H | F | X...] is reduced on its
+    L_Z noise columns; its rows past rank(H) hold W F, and R = 2N.
     """
     N, L = f_all.shape[1:]
     blocks = [f_all[ends].reshape(len(ends), 2 * N, L), *extra]
@@ -322,12 +311,10 @@ def _edge_checks(
         diff = stack[:, :N] - stack[np.arange(len(ends))[:, None], N + partner]
         diff[partner < 0] = 0
         return 2 * N - np.count_nonzero(partner >= 0, axis=1), diff % p
-    used = h_all.any(axis=1)[ends].any(axis=1)
-    h_stack = np.concatenate([_used_first(h_all, ends[:, 0], used), _used_first(h_all, ends[:, 1], used)], axis=1)
-    U = h_stack.shape[2]
-    stack = np.concatenate([h_stack, *blocks], axis=2)
-    h_rank = batch_rref(stack, p, U)
-    rest = stack[:, :, U:]
+    L_Z = h_all.shape[2]
+    stack = np.concatenate([h_all[ends].reshape(len(ends), 2 * N, L_Z), *blocks], axis=2)
+    h_rank = batch_rref(stack, p, L_Z)
+    rest = stack[:, :, L_Z:]
     rest[np.arange(2 * N) < h_rank[:, None]] = 0
     return h_rank, rest
 
@@ -622,6 +609,7 @@ def simulate(inst: CdsInstance, scheme: LinearScheme, seed: int, trials: int) ->
         decoded = decoder @ signals[ok_ends].reshape(len(ok_ends), 2 * N, block)
         decoded %= p  # D applied to each pair's signals
         successes[decodable] += (decoded == draws[:L]).all(axis=1).sum(axis=1)
+        del draws, signals, decoded  # so the next block's arrays do not overlap these
     sims = [
         EdgeSimulation(edge, "qualified", trials, n, ok)
         for edge, n, ok in zip(edges, successes.tolist(), decodable.tolist())

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import FieldMatrix, PrimeField, next_prime
-from .graph import CdsInstance, QualifiedComponent, qualified_components, rho, unqualified_classes
+from .graph import CdsInstance, QualifiedComponent, node_key, qualified_components, rho, unqualified_classes
 from .linalg import cauchy_matrix
 from .scheme import LinearScheme
 
@@ -38,104 +38,72 @@ def choose_field(rho_value: int | None) -> PrimeField:
 
 
 @dataclass(frozen=True)
-class NoiseLayout:
-    """Sliding-window assignment of component-local noise indices.
+class ComponentPlan:
+    """One qualified component's noise symbols, coefficients and payloads.
 
-    Path components use indices 0..n+rho-2 (index 0 carries no payload);
-    node i holds (i-1, ..., i+rho-2). Cycle components use indices 1..n
-    cyclically; node i holds (i, i+1, ..., i+rho-1) with wrap-around.
+    Path components use local indices 0..n+rho-2 (index 0 carries no
+    payload); node i holds (i-1, ..., i+rho-2). Cycle components use indices
+    1..n cyclically; node i holds (i, i+1, ..., i+rho-1) with wrap-around.
     Consecutive nodes share exactly rho-1 indices, except on a cycle with
     exactly rho nodes, whose windows all coincide.
+
+    ``holders[j]`` lists the nodes holding local symbol j, in traversal
+    order. ``coefficients[j][node]`` is the 1-based index of the node's
+    unqualified class inside the subgraph induced by those holders (classes
+    ordered by their minimal node id, A-nodes first); nodes of the same
+    class get the same coefficient so unqualified neighbours transmit
+    identical slots. ``payloads[j]`` is ("s", i) for plain secret s_i,
+    ("l", i) for the i-th Cauchy combination, or None for the unused z_0.
     """
 
-    kind: str
+    component: QualifiedComponent
     windows: dict[str, tuple[int, ...]]  # node -> ordered local indices
-    symbol_count: int
+    holders: dict[int, list[str]]
+    coefficients: dict[int, dict[str, int]]
+    payloads: dict[int, tuple[str, int] | None]
+    col_offset: int = 0
 
-    def holders(self, j: int) -> list[str]:
-        return [n for n, w in self.windows.items() if j in w]
+    def column(self, j: int) -> int:
+        """The noise column of local symbol j in the whole scheme."""
+        return self.col_offset + j - (self.component.kind == "cycle")
 
 
-def noise_layout(component: QualifiedComponent, rho_value: int) -> NoiseLayout:
+def plan_component(
+    inst: CdsInstance, component: QualifiedComponent, rho_value: int, col_offset: int = 0
+) -> ComponentPlan:
+    """The component's windows, holders, coefficients and payloads, its
+    noise columns starting at ``col_offset``; refuses a component that is
+    neither a path nor a cycle, or a cycle shorter than rho."""
     if component.kind not in ("path", "cycle"):
         raise SynthesisError(f"component of kind {component.kind!r} has no layout")
     trav = component.traversal
     n = len(trav)
     if component.kind == "path":
-        windows = {
-            node: tuple(range(i - 1, i + rho_value - 1)) for i, node in enumerate(trav, start=1)
-        }
-        return NoiseLayout("path", windows, n + rho_value - 1)
-    if n < rho_value:
+        windows = {node: tuple(range(i - 1, i + rho_value - 1)) for i, node in enumerate(trav, start=1)}
+    elif n < rho_value:
         raise SynthesisError(
             f"cycle with {n} nodes is shorter than rho={rho_value}; the construction is undefined"
         )
-    windows = {
-        node: tuple(((i - 1 + k) % n) + 1 for k in range(rho_value))
-        for i, node in enumerate(trav, start=1)
-    }
-    return NoiseLayout("cycle", windows, n)
-
-
-@dataclass(frozen=True)
-class CoefficientTable:
-    """Per noise symbol: the unqualified classes of its holders and payloads.
-
-    ``coefficients[j][node]`` is the 1-based index of the node's unqualified
-    class inside the subgraph induced by the holders of local symbol j
-    (classes ordered by their minimal node id, A-nodes first); nodes of the
-    same class get the same coefficient so unqualified neighbours transmit
-    identical slots. ``payloads[j]`` is ("s", i) for plain secret s_i,
-    ("l", i) for the i-th Cauchy combination, or None for the unused z_0.
-    """
-
-    coefficients: dict[int, dict[str, int]]
-    payloads: dict[int, tuple[str, int] | None]
-    classes: dict[int, tuple[tuple[str, ...], ...]]
-
-
-def _secret_index(j: int, rho_value: int) -> int:
-    # representative of j mod (rho-1) in {1, ..., rho-1}
-    return ((j - 1) % (rho_value - 1)) + 1
-
-
-def coefficient_table(
-    inst: CdsInstance,
-    component: QualifiedComponent,
-    layout: NoiseLayout,
-    rho_value: int,
-) -> CoefficientTable:
+    else:
+        windows = {node: tuple((i + k) % n + 1 for k in range(rho_value)) for i, node in enumerate(trav)}
+    holders: dict[int, list[str]] = {}
+    for node, window in windows.items():
+        for j in window:
+            holders.setdefault(j, []).append(node)
     uadj = inst.unqualified_adjacency()
     coefficients: dict[int, dict[str, int]] = {}
     payloads: dict[int, tuple[str, int] | None] = {}
-    classes: dict[int, tuple[tuple[str, ...], ...]] = {}
-    indices = range(0, layout.symbol_count) if layout.kind == "path" else range(1, layout.symbol_count + 1)
-    for j in indices:
-        holders = set(layout.holders(j))
-        if layout.kind == "path" and j == 0:
-            coefficients[0] = {}
-            payloads[0] = None
-            classes[0] = ()
+    for j, nodes in holders.items():
+        if component.kind == "path" and j == 0:
+            coefficients[0], payloads[0] = {}, None
             continue
-        groups = unqualified_classes(holders, uadj)
+        groups = unqualified_classes(nodes, uadj)
         coefficients[j] = {node: k for k, group in enumerate(groups, start=1) for node in group}
-        classes[j] = groups
-        if layout.kind == "cycle" and j <= rho_value - 1:
+        if component.kind == "cycle" and j <= rho_value - 1:
             payloads[j] = ("l", j)
         else:
-            payloads[j] = ("s", _secret_index(j, rho_value))
-    return CoefficientTable(coefficients, payloads, classes)
-
-
-@dataclass(frozen=True)
-class ComponentPlan:
-    component: QualifiedComponent
-    layout: NoiseLayout
-    table: CoefficientTable
-    col_offset: int
-
-    def local_col(self, j: int) -> int:
-        return j if self.layout.kind == "path" else j - 1
+            payloads[j] = ("s", ((j - 1) % (rho_value - 1)) + 1)  # j mod (rho-1), in 1..rho-1
+    return ComponentPlan(component, windows, holders, coefficients, payloads, col_offset)
 
 
 @dataclass(frozen=True)
@@ -155,21 +123,18 @@ class SynthesisPlan:
             for node in comp.component.nodes:
                 f_rows = np.zeros((self.N, self.L), dtype=np.int64)
                 h_rows = np.zeros((self.N, self.L_Z), dtype=np.int64)
-                for r, j in enumerate(comp.layout.windows[node]):
-                    h_rows[r, comp.col_offset + comp.local_col(j)] = 1
-                    payload = comp.table.payloads[j]
+                for r, j in enumerate(comp.windows[node]):
+                    h_rows[r, comp.column(j)] = 1
+                    payload = comp.payloads[j]
                     if payload is None:
                         continue
-                    k = comp.table.coefficients[j][node]
+                    k = comp.coefficients[j][node]
                     kind, idx = payload
                     if kind == "s":
                         f_rows[r, idx - 1] = k
                     else:
                         f_rows[r] = np.mod(k * self.cauchy.array[idx - 1], self.field.p)
-                precoders[node] = (
-                    FieldMatrix(f_rows, self.field),
-                    FieldMatrix(h_rows, self.field),
-                )
+                precoders[node] = (FieldMatrix(f_rows, self.field), FieldMatrix(h_rows, self.field))
         return LinearScheme(
             field=self.field,
             L=self.L,
@@ -181,7 +146,7 @@ class SynthesisPlan:
 
 
 def synthesize_plan(inst: CdsInstance) -> SynthesisPlan:
-    """Layouts and coefficient tables for the whole instance.
+    """One ``ComponentPlan`` per qualified component of the instance.
 
     Raises SynthesisError when the construction does not apply: some
     component has shape "other", rho is infinite, or a cycle is shorter
@@ -215,10 +180,8 @@ def synthesize_plan(inst: CdsInstance) -> SynthesisPlan:
     plans = []
     offset = 0
     for comp in comps:
-        layout = noise_layout(comp, rho_value)
-        table = coefficient_table(inst, comp, layout, rho_value)
-        plans.append(ComponentPlan(comp, layout, table, offset))
-        offset += layout.symbol_count
+        plans.append(plan_component(inst, comp, rho_value, offset))
+        offset += len(plans[-1].holders)
     plan = SynthesisPlan(
         instance=inst,
         rho_value=rho_value,
@@ -229,7 +192,7 @@ def synthesize_plan(inst: CdsInstance) -> SynthesisPlan:
         cauchy=cauchy,
         components=tuple(plans),
     )
-    _structural_certificate(inst, plan)
+    _structural_certificate(plan)
     return plan
 
 
@@ -238,11 +201,12 @@ def synthesize(inst: CdsInstance) -> LinearScheme:
     return synthesize_plan(inst).to_scheme()
 
 
-def _structural_certificate(inst: CdsInstance, plan: SynthesisPlan) -> None:
+def _structural_certificate(plan: SynthesisPlan) -> None:
     """Structural decodability facts, asserted before any verifier runs.
 
     Every noise symbol appears at <= rho nodes; the two ends of a qualified
-    edge share exactly rho-1 symbols; and for each shared symbol the two
+    edge (consecutive in a component's traversal, or its wrap on a cycle)
+    share exactly rho-1 symbols; and for each shared symbol the two
     coefficients differ. The last fact holds because equal coefficients
     would put both ends in one unqualified class of the induced subgraph,
     yielding an unqualified path P between them whose holders form a
@@ -250,30 +214,26 @@ def _structural_certificate(inst: CdsInstance, plan: SynthesisPlan) -> None:
     rho-1 edges, contradicting the minimality of rho.
     """
     rho_value = plan.rho_value
-    qedges = inst.qualified_node_edges()
     for comp in plan.components:
-        layout, table = comp.layout, comp.table
-        for j in table.coefficients:
-            if len(layout.holders(j)) > rho_value:
+        for j, nodes in comp.holders.items():
+            if len(nodes) > rho_value:
                 raise SynthesisError(f"noise symbol {j} appears at more than rho nodes")
-        comp_nodes = set(comp.component.nodes)
+        trav = comp.component.traversal
+        cycle = comp.component.kind == "cycle"
         # windows of a cycle with exactly rho nodes coincide entirely, so its
         # edges share rho symbols instead of rho-1; decoding still works since
         # the rho-1 generic combinations alone are invertible
-        expected_shared = rho_value - 1
-        if layout.kind == "cycle" and len(comp_nodes) == rho_value:
-            expected_shared = rho_value
-        for u, v in qedges:
-            if u not in comp_nodes:
-                continue
-            shared = [j for j in layout.windows[u] if j in layout.windows[v]]
+        expected_shared = rho_value if cycle and len(trav) == rho_value else rho_value - 1
+        for pair in zip(trav, trav[1:] + trav[:1] if cycle else trav[1:]):
+            u, v = sorted(pair, key=node_key)
+            shared = [j for j in comp.windows[u] if j in comp.windows[v]]
             if len(shared) != expected_shared:
                 raise SynthesisError(
                     f"qualified edge {u}-{v} shares {len(shared)} noise symbols, "
                     f"expected {expected_shared}"
                 )
             for j in shared:
-                if table.coefficients[j][u] == table.coefficients[j][v]:
+                if comp.coefficients[j][u] == comp.coefficients[j][v]:
                     raise SynthesisError(
                         f"qualified edge {u}-{v} has equal coefficients on shared symbol {j}"
                     )
@@ -283,16 +243,16 @@ def render_plan(plan: SynthesisPlan) -> str:
     """Human-readable rendering of each node's signal as symbolic sums."""
     lines = []
     for q, comp in enumerate(plan.components, start=1):
-        lines.append(f"component {q} ({comp.layout.kind}): " + "-".join(comp.component.traversal))
+        lines.append(f"component {q} ({comp.component.kind}): " + "-".join(comp.component.traversal))
         for node in comp.component.traversal:
             slots = []
-            for j in comp.layout.windows[node]:
+            for j in comp.windows[node]:
                 z = f"z{q}_{j}"
-                payload = comp.table.payloads[j]
+                payload = comp.payloads[j]
                 if payload is None:
                     slots.append(z)
                     continue
-                k = comp.table.coefficients[j][node]
+                k = comp.coefficients[j][node]
                 kind, idx = payload
                 sym = f"s{idx}" if kind == "s" else f"l{idx}"
                 slots.append(f"{sym}+{z}" if k == 1 else f"{k}*{sym}+{z}")

@@ -193,18 +193,18 @@ def test_criterion_8_structural_claims(synthesis_corpus):
             rho_value = plan.rho_value
             qedges = inst.qualified_node_edges()
             for comp in plan.components:
-                layout = comp.layout
-                for j in comp.table.coefficients:
-                    assert len(layout.holders(j)) <= rho_value
+                for j, holders in comp.holders.items():
+                    assert holders == [n for n, w in comp.windows.items() if j in w]
+                    assert len(holders) <= rho_value
                 nodes = set(comp.component.nodes)
                 expected_shared = rho_value - 1
-                if layout.kind == "cycle" and len(nodes) == rho_value:
+                if comp.component.kind == "cycle" and len(nodes) == rho_value:
                     # the windows of a rho-node cycle coincide entirely
                     expected_shared = rho_value
                 for u, v in qedges:
                     if u not in nodes:
                         continue
-                    shared = [j for j in layout.windows[u] if j in layout.windows[v]]
+                    shared = [j for j in comp.windows[u] if j in comp.windows[v]]
                     assert len(shared) == expected_shared, (inst.name, u, v)
                     for j in shared:
-                        assert comp.table.coefficients[j][u] != comp.table.coefficients[j][v]
+                        assert comp.coefficients[j][u] != comp.coefficients[j][v]

@@ -507,3 +507,20 @@ def test_verify_output_is_pinned(tmp_path, capsys):
         h.update(f"{codes[-1]}\0{capsys.readouterr().out}\0".encode())
     assert codes.count(0) >= 4 and codes.count(1) >= 8 and codes.count(2) >= 1
     assert h.hexdigest() == "4c8aabe51e25c6fd64d78e678495a465f74b1be42dbd49661a56f5e08c5254bb"
+
+
+def test_synth_render_output_is_pinned(tmp_path, capsys):
+    # one sha256 over the stdout of synth --render, as text and as --json,
+    # on fig5 and on the seeded unions above; pinned from the construction
+    # that kept noise layouts and coefficient tables apart
+    calls = ["fig5"]
+    for i, (inst, _) in enumerate(_synthesized_unions()):
+        inst_path = tmp_path / f"union{i}.json"
+        inst_path.write_text(cc.serialize_instance(inst), encoding="utf-8")
+        calls.append(str(inst_path))
+    h = hashlib.sha256()
+    for inst in calls:
+        for argv in (["synth", inst, "--render"], ["--json", "synth", inst, "--render"]):
+            assert main(argv) == 0
+            h.update(f"{capsys.readouterr().out}\0".encode())
+    assert h.hexdigest() == "56a0ac2366553cf7f7846a4dbcc859536a88b9e9cb3c74275881127bc5d4936a"
