@@ -69,9 +69,9 @@ class PrimeField:
 class FieldMatrix:
     """Immutable dense matrix over a prime field.
 
-    Wraps an int64 numpy array of canonical residues. Supports the handful
-    of operations the rest of the package needs: matmul, subtraction and
-    row selection.
+    Wraps an int64 numpy array of canonical residues, which the package
+    reads directly. Matmul, subtraction and row selection serve
+    ``scripts/build_fixtures.py`` and the tests.
     """
 
     __slots__ = ("field", "_a")

@@ -2,10 +2,11 @@
 
 Everything here rests on one Gauss-Jordan kernel, ``batch_rref``, which
 reduces a stack of int64 matrices mod p; a single matrix is reduced as a
-stack of one. On top of it sit rank, RREF with pivots or a carried
-transform, the null space, and the two constructions the rest of the
-package leans on: row-space intersection with explicit coefficient
-matrices, and Cauchy matrices (every square submatrix invertible).
+stack of one. The verifiers call it directly, the search calls
+``residue_rank``, and synthesis builds on Cauchy matrices (every square
+submatrix invertible). RREF with pivots or a carried transform, the null
+space and row-space intersection with explicit coefficient matrices serve
+``scripts/build_fixtures.py`` and the tests; the package does not call them.
 """
 
 from __future__ import annotations

@@ -390,35 +390,41 @@ def _noise_parts(h: np.ndarray, p: int) -> np.ndarray:
     return parts
 
 
-def _signal_runs(width: int, p: int, signal_keys) -> tuple[np.ndarray, ...]:
-    """Exact sorted keys of a grid of signals.
+def _signal_keys(fs: np.ndarray, hz: np.ndarray, p: int) -> np.ndarray:
+    """The exact len(fs) x len(hz) grid of keys of the signals fs[i] + hz[j] mod p.
 
-    A signal is ``width`` residues with base-p key sum(value[c] * p**c);
-    ``signal_keys(cols, powers, dtype)`` returns every sample's key over the
-    slice ``cols`` (``powers`` = p**0, p**1, ... for its columns) as a fresh
-    array in row-major order, built from digit-sum tables, in ``dtype`` or
-    int64. The keys are uint32 when p**width <= 2^32, and int64 otherwise.
-    Chunks of columns, from the most significant end, extend the key while
-    it stays below 2^62; np.unique renumbers it in key order whenever
-    columns remain. Returns the keys, their sorted copy, and the start
-    of each run of equal keys in it followed by the number of keys.
+    A signal's key is sum(value[c] * p**c), so equal signals get equal keys
+    and key order is base-p value order; uint32 when p**width <= 2^32, else
+    int64. Horner's rule runs over groups of g columns (``_digit_sum_table``),
+    most significant first, gathering the smaller side's table rows first;
+    the first gather is the key array. np.unique renumbers the key in order
+    whenever the next group would take it to 2^62 or past.
     """
+    width = fs.shape[1]
     dtype = np.uint32 if p**width <= 2**32 else np.int64
-    key, bound, stop = 0, 1, width  # key < bound
-    while True:
-        start = max(stop - 1, 0)
-        while start > 0 and bound * p ** (stop - start + 1) < 2**62:
-            start -= 1
-        chunk = signal_keys(slice(start, stop), p ** np.arange(stop - start, dtype=np.int64), dtype)
-        if bound > 1:  # else key is 0
-            chunk += key * p ** (stop - start)
-        key, bound, stop = chunk, bound * p ** (stop - start), start
-        if stop == 0:
-            break
-        uniq, key = np.unique(key, return_inverse=True)
-        bound = len(uniq)
-    srt = np.sort(key)
-    return key, srt, np.flatnonzero(np.concatenate(([True], srt[1:] != srt[:-1], [True])))
+    g, table = _digit_sum_table(p)
+    keys, bound = None, 1  # keys < bound
+    for at in reversed(range(0, width, g)):  # every group below the top one has g digits
+        pw = p ** np.arange(min(g, width - at), dtype=np.int64)
+        a, b = fs[:, at : at + len(pw)] @ pw, hz[:, at : at + len(pw)] @ pw  # the group's key in each part
+        rows = dtype if keys is None else np.uint8
+        if table is None:  # one digit: add, then take p off the sums that reach it
+            part = a[:, None] + b
+            np.subtract(part, p, out=part, where=part >= p)
+        elif len(fs) <= len(b):  # gather the table rows of the smaller part first
+            part = np.take(table[a].astype(rows, copy=False), b, axis=1)  # C order, unlike [:, b]
+        else:
+            part = table[:, b].astype(rows, copy=False)[a]
+        if keys is None:
+            keys = part.astype(dtype, copy=False)
+        else:
+            if bound * p ** len(pw) >= 2**62:
+                uniq, inverse = np.unique(keys, return_inverse=True)
+                keys, bound = inverse.reshape(keys.shape), len(uniq)
+            keys *= p ** len(pw)
+            np.add(keys, part, out=keys, casting="unsafe")  # part < p**len(pw): no wrap
+        bound *= p ** len(pw)
+    return np.zeros((len(fs), len(hz)), dtype=dtype) if keys is None else keys
 
 
 def entropic_oracle_edge(
@@ -431,16 +437,20 @@ def entropic_oracle_edge(
 
     Enumerates every secret and every assignment of the noise coordinates
     actually referenced by the two noise precoders (unreferenced coordinates
-    are independent of both signals, so marginalizing over them is exact)
-    and tabulates how often each signal pair occurs with each secret.
+    are independent of both signals, so marginalizing over them is exact).
     Assignments with equal noise parts H z give equal signals, and each
-    distinct part comes from the same number mult of them, so the table is
-    built over the distinct parts: a signal pair occurs mult times with
-    each secret that gives it, and never with the others. A qualified edge
+    distinct part comes from the same number mult of them. A qualified edge
     passes iff every realized signal pair is consistent with exactly one
-    secret; an unqualified edge passes iff, for every realized signal pair,
-    the count is identical across all p^L secrets. Never silently passes:
-    when p^(L+m) exceeds the budget the result is an explicit "not-checked".
+    secret; an unqualified edge passes iff every realized signal pair occurs
+    equally often under all p^L secrets. Secret s gives the pairs F s + V,
+    V the noise parts, each mult times; V is closed under addition, so two
+    secrets give the same pairs or none in common, and each secret's least
+    signal key names its pairs: a qualified edge fails iff two secrets share
+    it, an unqualified one iff not every secret does. The key grid
+    (``_signal_keys``) holds 4 bytes per (secret, noise part) state, 8 when
+    p^(2N) > 2^32; the secrets and their F s are int64 tables of
+    p^L x (L + 2N) entries. Never silently passes: when p^(L+m) exceeds the
+    budget the result is an explicit "not-checked".
     """
     scheme.check_for_instance(inst)
     return _edge_oracle(inst, scheme, edge, budget)
@@ -473,44 +483,21 @@ def _edge_oracle(inst: CdsInstance, scheme: LinearScheme, edge: tuple[int, int],
     hz = _noise_parts(h_stack[:, ref_cols], p)  # the distinct noise parts, each from mult of the p^m assignments
     mult = p**m // len(hz)
     fs = np.mod(secrets @ f_stack.T, p)  # p^L x 2N
-    n_secrets = len(secrets)
-
-    g, table = _digit_sum_table(p)
-
-    def signal_keys(cols: slice, powers: np.ndarray, dtype: type) -> np.ndarray:
-        keys = None
-        for at in reversed(range(cols.start, cols.stop, g)):  # Horner's rule, most significant group first
-            pw = powers[: min(g, cols.stop - at)]
-            a, b = fs[:, at : at + len(pw)] @ pw, hz[:, at : at + len(pw)] @ pw  # the group's key in each part
-            rows = dtype if keys is None else np.uint8  # the first gather is the key array
-            if table is None:  # one digit: add, then take p off the sums that reach it
-                part = a[:, None] + b
-                np.subtract(part, p, out=part, where=part >= p)
-            elif n_secrets <= len(b):  # gather the table rows of the smaller part first
-                part = np.take(table[a].astype(rows, copy=False), b, axis=1)  # C order, unlike [:, b]
-            else:
-                part = table[:, b].astype(rows, copy=False)[a]
-            if keys is not None:
-                keys *= p ** g  # every group below the top one has g digits
-            keys = part if keys is None else np.add(keys, part, out=keys)
-        return np.zeros(n_secrets * len(hz), dtype=dtype) if keys is None else keys.ravel()
-
-    # distinct noise parts give one secret distinct signals: a run holds the secrets that give its pair
-    keys, srt, bounds = _signal_runs(2 * scheme.N, p, signal_keys)
-    runs = np.diff(bounds)
+    keys = _signal_keys(fs, hz, p)
+    least = keys.min(axis=1)
     if kind == "qualified":
-        bad = np.flatnonzero(runs > 1)
+        srt = np.sort(least)
+        repeated = srt[1:][srt[1:] == srt[:-1]]
+        target = repeated[0] if repeated.size else None
         detail = "a signal pair is consistent with more than one secret"
-    else:
-        bad = np.flatnonzero(runs < n_secrets)  # a secret missing from a run has count 0
+    else:  # if one secret's signals differ from another's, the least signal is not given by every secret
+        target = least.min() if (least != least[0]).any() else None
         detail = "signal pair counts differ across secrets"
-    if not bad.size:
+    if target is None:
         return OracleResult(edge=edge, kind=kind, status="pass", states=states)
-    # the least failing signal pair, rebuilt from its first state (secret, noise part)
-    hits = keys.reshape(n_secrets, -1) == srt[bounds[bad[0]]]
-    gives = hits.any(axis=1)  # the secrets that give it
+    gives = least == target  # the secrets that give the least failing signal pair
     s_idx = int(np.argmax(gives))
-    vals = np.mod(fs[s_idx] + hz[np.argmax(hits[s_idx])], p).tolist()
+    vals = np.mod(fs[s_idx] + hz[np.argmin(keys[s_idx])], p).tolist()
     example = {"signals": {va: vals[: scheme.N], vb: vals[scheme.N :]}}
     if kind == "qualified":
         example["secrets"] = [secrets[i].tolist() for i in np.flatnonzero(gives)[:2]]
@@ -524,6 +511,8 @@ def _edge_oracle(inst: CdsInstance, scheme: LinearScheme, edge: tuple[int, int],
 def entropic_oracle_all(
     inst: CdsInstance, scheme: LinearScheme, budget: int = DEFAULT_ORACLE_BUDGET
 ) -> list[OracleResult]:
+    """``entropic_oracle_edge`` on every edge: one scheme check, then one
+    result per edge in ``inst.edges_with_kind()`` order."""
     scheme.check_for_instance(inst)
     return [_edge_oracle(inst, scheme, e, budget) for e, _ in inst.edges_with_kind()]
 

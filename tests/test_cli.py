@@ -3,10 +3,12 @@ import json
 import tracemalloc
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 import cdscover as cc
 from cdscover.cli import build_parser, main
+from conftest import tiny_oracle_instances
 
 
 def _write_fixture(tmp_path, kind, name):
@@ -524,3 +526,48 @@ def test_synth_render_output_is_pinned(tmp_path, capsys):
             assert main(argv) == 0
             h.update(f"{capsys.readouterr().out}\0".encode())
     assert h.hexdigest() == "56a0ac2366553cf7f7846a4dbcc859536a88b9e9cb3c74275881127bc5d4936a"
+
+
+def _oracle_corpus():
+    """Seeded schemes on the tiny oracle instances for p in {2, 3, 5, 257},
+    every edge within the default oracle budget. N runs up to widths where
+    p^(2N) >= 2^62; noise is sparse, and each node's secret is random, zero
+    or masked by its noise (F = H @ mix), so both kinds of edge pass and fail."""
+    rng = np.random.default_rng(1019)
+    out = []
+    for p, widths in ((2, (1, 2, 31)), (3, (1, 3, 20)), (5, (2, 14)), (257, (1, 4))):
+        field = cc.PrimeField(p)
+        for N in widths:
+            for i, inst in enumerate(tiny_oracle_instances()):
+                L, L_Z = (1, 1) if p == 257 else (1 + (N + i) % 2, 2 + i % 2)
+                mix = rng.integers(0, p, size=(L_Z, L))
+                precoders = {}
+                for k, node in enumerate(inst.nodes()):
+                    h = rng.integers(0, p, size=(N, L_Z)) * (rng.random((N, L_Z)) < 0.6)
+                    f = [rng.integers(0, p, size=(N, L)), np.zeros((N, L), dtype=np.int64), h @ mix % p][(i + k) % 3]
+                    precoders[node] = (cc.FieldMatrix(f, field), cc.FieldMatrix(h, field))
+                out.append((inst, cc.LinearScheme(field, L, L_Z, N, precoders, f"p{p}-N{N}-{inst.name}")))
+    return out
+
+
+def test_entropic_output_is_pinned(tmp_path, capsys):
+    # one sha256 over the exit code and --json stdout of verify --entropic on
+    # fig2 with its three schemes and on the seeded corpus above; pinned
+    # from the oracle that counted signal pairs by sorting the key grid
+    calls = [["fig2", name] for name in ("fig2-rate-2-5", "broken-leaky", "broken-garbled")]
+    for i, (inst, scheme) in enumerate(_oracle_corpus()):
+        inst_path, scheme_path = tmp_path / f"inst{i}.json", tmp_path / f"scheme{i}.json"
+        inst_path.write_text(cc.serialize_instance(inst), encoding="utf-8")
+        scheme_path.write_text(cc.serialize_scheme(scheme), encoding="utf-8")
+        calls.append([str(inst_path), str(scheme_path)])
+    h = hashlib.sha256()
+    failed = {"qualified": 0, "unqualified": 0}
+    for inst, scheme in calls:
+        code = main(["--json", "verify", inst, scheme, "--entropic"])
+        out = capsys.readouterr().out
+        h.update(f"{code}\0{out}\0".encode())
+        for r in json.loads(out)["entropic"]:
+            assert r["status"] in ("pass", "fail")
+            failed[r["kind"]] += r["status"] == "fail"
+    assert min(failed.values()) >= 5
+    assert h.hexdigest() == "c82b8149935a69771b4a2c11608172d5fe0a33206110f13ea330cb2c99f7abc7"

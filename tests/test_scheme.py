@@ -1,8 +1,8 @@
 import itertools
 import json
 import tracemalloc
-from collections import Counter
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -21,7 +21,7 @@ from cdscover.scheme import (
     _noise_parts,
     _node_arrays,
     _partners,
-    _signal_runs,
+    _signal_keys,
     entropic_oracle_all,
     entropic_oracle_edge,
     VerificationReport,
@@ -532,7 +532,7 @@ def test_fig2_fixture_passes_oracle_everywhere():
 
 
 def test_oracle_wide_signals_keep_residues_above_255():
-    # p^(2N) = 257^8 >= 2^62, so the oracle keys the signals in two chunks;
+    # p^(2N) = 257^8 >= 2^62, so the oracle renumbers the key before its last digit;
     # the secrets 0 and 256 give the signals 0 and 256, which must stay apart
     inst = _two_node_instance("qualified")
     f = PrimeField(257)
@@ -661,56 +661,67 @@ def test_oracle_matches_dict_enumeration(edge):
     assert (res.status, res.states, res.counterexample) == _oracle_by_enumeration(scheme, kind)
 
 
-def _assert_signal_runs_match_tally(width, p, rows):
-    """``_signal_runs`` on ``rows`` (keyed in uint32 where every signal key
-    fits) against a dict tally of the rows in base-p key order; returns the keys."""
-    keys, srt, bounds = _signal_runs(width, p, lambda cols, pw, dt: (rows[:, cols] @ pw).astype(dt))
-    assert keys.dtype == srt.dtype == (np.uint32 if p**width <= 2**32 else np.int64)
-    assert srt.tolist() == sorted(keys.tolist())
-    signal_of = {int(k): tuple(row) for k, row in zip(keys, rows.tolist())}
-    tally = Counter(map(tuple, rows.tolist()))
-    assert len(signal_of) == len(tally)  # equal rows share a key, and distinct rows do not
-    got = [(signal_of[int(srt[b])], int(e - b)) for b, e in zip(bounds[:-1], bounds[1:])]
-    assert got == sorted(tally.items(), key=lambda item: sum(v * p**c for c, v in enumerate(item[0])))
-    return keys
+def _assert_signal_keys_are_exact(fs, hz, p):
+    """``_signal_keys(fs, hz, p)`` against the base-p value sum(v[c] * p**c)
+    of every signal v = fs[i] + hz[j] mod p: uint32 exactly when
+    p**width <= 2^32, renumbered exactly when p**width >= 2^62, the values
+    themselves where not renumbered, and else equal keys exactly for equal
+    values and key order equal to value order."""
+    width = fs.shape[1]
+    with mock.patch.object(np, "unique", wraps=np.unique) as unique:
+        keys = _signal_keys(fs, hz, p)
+    assert keys.dtype == (np.uint32 if p**width <= 2**32 else np.int64)
+    assert unique.called == (p**width >= 2**62)
+    values = [[sum((x + y) % p * p**c for c, (x, y) in enumerate(zip(f, h))) for h in hz.tolist()] for f in fs.tolist()]
+    if not unique.called:
+        assert keys.tolist() == values
+    assert keys.shape == (len(fs), len(hz))
+    pairs = sorted(zip(itertools.chain.from_iterable(values), keys.ravel().tolist()))
+    assert all(k0 < k1 if v0 < v1 else k0 == k1 for (v0, k0), (v1, k1) in zip(pairs, pairs[1:]))
 
 
-@pytest.mark.parametrize("width", [1, 2, 3, 5])
-def test_signal_runs_keys_never_wrap(width):
+@pytest.mark.parametrize("width", [1, 2, 3, 4, 5])
+def test_signal_keys_never_wrap(width):
     # p^width is above 2^32 from width 2 on, and at or above 2^62 from width
-    # 3 on, where one int64 key would wrap
+    # 3 on, where one int64 key would wrap; p^2 is above the digit-sum table
+    # limit, so every digit is added arithmetically
     p = 2**31 - 1
     rng = np.random.default_rng(width)
     pool = rng.integers(0, p, size=(6, width))
     pool[0] = p - 1
     pool[1] = pool[0]
     pool[1, 0] = p - 2  # differs from the largest signal in the least significant residue only
-    _assert_signal_runs_match_tally(width, p, pool[rng.integers(0, 6, size=60)])
+    # the noise part 1 takes p - 1 to p exactly, which must wrap to 0
+    hz = np.vstack([np.zeros(width, dtype=np.int64), np.ones(width, dtype=np.int64), rng.integers(0, p, size=(2, width))])
+    _assert_signal_keys_are_exact(pool[rng.integers(0, 6, size=12)], hz, p)
 
 
 @given(
     st.sampled_from([2, 3, 5, 17, 257]),
-    st.integers(0, 40),
-    st.integers(1, 40),
+    st.integers(0, 64),
+    st.integers(1, 12),
+    st.integers(1, 12),
     st.integers(0, 2**32 - 1),
 )
-@example(2, 32, 8, 0)  # largest key 2^32 - 1: uint32
-@example(2, 33, 8, 0)  # int64
-@example(257, 3, 8, 0)  # 257^3 < 2^32: uint32
-@example(257, 4, 8, 0)  # 257^4 > 2^32: int64
+@example(2, 32, 8, 3, 0)  # largest key 2^32 - 1: uint32
+@example(2, 33, 8, 3, 0)  # int64
+@example(257, 3, 8, 3, 0)  # 257^3 < 2^32: uint32
+@example(257, 4, 8, 3, 0)  # 257^4 > 2^32: int64
+@example(3, 7, 2, 9, 0)  # more noise parts than secrets: the secrets' table rows are gathered first
+@example(2, 61, 5, 4, 0)  # largest key 2^61 - 1, not renumbered
+@example(2, 62, 5, 4, 0)  # p^width = 2^62: renumbered
 @settings(max_examples=100, deadline=None)
-def test_signal_runs_match_dict_tally(p, width, count, seed):
-    # rows drawn from a small pool, so that signals repeat; the pool holds
-    # the largest signal, so the largest key p^width - 1 is reached where it
-    # is not renumbered
+def test_signal_keys_match_base_p_values(p, width, n_fs, n_hz, seed):
+    # both sides drawn from a small pool, with hz = pool - pool[0], so that
+    # signals repeat within and across rows; pool[0] is the largest signal,
+    # reached where both sides draw it, so where the keys are not
+    # renumbered the largest key is p^width - 1
     rng = np.random.default_rng(seed)
-    pool = rng.integers(0, p, size=(4, width))
+    pool = rng.integers(0, p, size=(3, width))
     pool[0] = p - 1
-    picks = rng.integers(0, len(pool), size=count)
-    picks[-1] = 0
-    keys = _assert_signal_runs_match_tally(width, p, pool[picks])
-    if p**width < 2**62:
-        assert int(keys.max()) == p**width - 1
+    picks_f, picks_h = rng.integers(0, 3, size=n_fs), rng.integers(0, 3, size=n_hz)
+    picks_f[-1] = picks_h[-1] = 0
+    _assert_signal_keys_are_exact(pool[picks_f], (pool[picks_h] - pool[0]) % p, p)
 
 
 @given(st.sampled_from([2, 3, 5]), st.integers(0, 4), st.integers(0, 5), st.integers(0, 2**32 - 1))
@@ -817,8 +828,10 @@ def test_oracle_all_checks_the_scheme_once(monkeypatch):
 
 def test_oracle_peak_memory_on_fig2():
     # 1,594,323 states per unqualified edge, but only 531,441 (secret,
-    # distinct noise part) signals, keyed in uint32: the peak is 5.6 MiB,
-    # where keying every state with its secret took 27.9
+    # distinct noise part) signals, keyed in uint32 with no sorted copy: the
+    # peak is 3.1 MiB (the 2.0 MiB key grid, one 0.5 MiB uint8 group and the
+    # 0.5 MiB of int64 noise parts), where sorting the key grid took 5.6 MiB
+    # and keying every state with its secret 27.9
     inst = cc.catalog.builtin_instance("fig2")
     tracemalloc.start()
     try:
@@ -827,7 +840,7 @@ def test_oracle_peak_memory_on_fig2():
     finally:
         tracemalloc.stop()
     assert all(r.passed for r in results) and len(results) == 8
-    assert peak < 8 * 2**20
+    assert peak < 4.5 * 2**20
 
 
 def test_oracle_counts_sparsely():
