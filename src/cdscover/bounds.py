@@ -191,17 +191,19 @@ def random_scheme_search(
     Each unit of budget samples one noise configuration: every node gets N
     distinct noise coordinates, locally repaired until every qualified edge
     shares at least L of them (noise alignment first). The unqualified
-    alignment constraints then say which secret rows are equal, so the
-    solution space is one free row per class of equal rows. Up to
-    SEARCH_INNER_DRAWS random members are drawn, one row per class, and one
-    is kept iff every qualified edge has a full-rank secret difference. An
-    edge's difference rows are those of its shared slots' class pairs with
-    two distinct classes, and no two of these pairs share a class, so an
-    edge with fewer than L of them can never pass. Such a configuration's
-    draws are still made but not tested, which keeps the rng stream and
-    every seeded result. Any returned scheme has passed verify_linear;
-    None after budget exhaustion proves nothing. With a qualified edge and
-    L > N no configuration can be repaired, so None comes before any draw.
+    alignment constraints then say which secret rows are equal: the classes
+    of equal rows on coordinate t are the components of the unqualified graph
+    on the nodes that hold t, grown on node bitmasks. Up to
+    SEARCH_INNER_DRAWS random members of the solution space are drawn, one
+    row per class, and one is kept iff every qualified edge has a full-rank
+    secret difference. An edge's difference rows are those of its shared
+    coordinates on which its ends' classes differ; no two of these class
+    pairs share a class, so an edge with fewer than L of them can never
+    pass. Such a configuration's draws are still made but not tested, which
+    keeps the rng stream and every seeded result. Any returned scheme has
+    passed verify_linear; None after budget exhaustion proves nothing. With
+    a qualified edge and L > N no configuration can be repaired, so None
+    comes before any draw.
     A modulus too large for exact int64 products raises FieldError.
     """
     if seed < 0:
@@ -218,16 +220,15 @@ def random_scheme_search(
     nodes = inst.nodes()
     node_idx = {n: i for i, n in enumerate(nodes)}
     qedges = [(a_node(x), b_node(y)) for x, y in sorted(inst.qualified)]
-    uedges = [(a_node(x), b_node(y)) for x, y in sorted(inst.unqualified)]
+    uadj = inst.unqualified_adjacency()
+    adj = [sum(1 << node_idx[w] for w in uadj[n]) for n in nodes]  # unqualified neighbours as node bitmasks
 
     for _ in range(budget):
         atoms = _sample_atoms(rng, nodes, qedges, L, N, L_Z)
         if atoms is None:
             continue
-        scheme = _solve_alignment(inst, field, L, N, L_Z, nodes, node_idx, atoms, qedges, uedges, rng)
-        if scheme is None:
-            continue
-        if verify_linear(inst, scheme).overall:
+        scheme = _solve_alignment(inst, field, L, N, L_Z, nodes, node_idx, atoms, qedges, adj, rng)
+        if scheme is not None and verify_linear(inst, scheme).overall:
             return scheme
     return None
 
@@ -262,30 +263,43 @@ def _sample_atoms(
     return None
 
 
-def _slot_classes(total: int, pairs: list[tuple[int, int]]) -> tuple[int, np.ndarray]:
-    """Classes of the slots 0..total-1 under the equalities ``pairs``.
+def _coordinate_classes(cols: list[list[int]], adj: list[int], L_Z: int) -> list[list[int]]:
+    """Each coordinate t's slot classes: the components, as node bitmasks, of
+    the unqualified graph ``adj`` (a neighbour bitmask per node) on the nodes
+    whose ``cols`` hold t, since each F_u[t] = F_v[t] joins two slots of t."""
+    holders = [0] * L_Z
+    for i, ts in enumerate(cols):
+        for t in ts:
+            holders[t] |= 1 << i
+    classes = []
+    for rest in holders:
+        found = []
+        while rest:
+            frontier = members = rest & -rest
+            rest ^= frontier
+            while frontier:
+                reach = 0
+                while frontier:
+                    low = frontier & -frontier
+                    frontier ^= low
+                    reach |= adj[low.bit_length() - 1]
+                frontier = reach & rest
+                rest ^= frontier
+                members |= frontier
+            found.append(members)
+        classes.append(found)
+    return classes
 
-    Returns the class count k and each slot's class index. Classes are
-    numbered by their largest slot. The search draws row ``i`` of its
-    coefficients for class ``i``, so this numbering is part of its rng
-    stream: the pinned search results depend on it.
-    """
-    parent = list(range(total))
 
-    def find(s: int) -> int:
-        while parent[s] != s:
-            parent[s] = parent[parent[s]]
-            s = parent[s]
-        return s
-
-    for s, t in pairs:
-        rs, rt = find(s), find(t)
-        if rs != rt:
-            # the larger root stays a root, so each root is its class's largest slot
-            parent[min(rs, rt)] = max(rs, rt)
-    roots = [find(s) for s in range(total)]
-    number = {r: i for i, r in enumerate(sorted(set(roots)))}
-    return len(number), np.array([number[r] for r in roots], dtype=np.intp)
+def _number_classes(classes: list[list[int]], cols: list[list[int]], N: int) -> list[dict[int, int]]:
+    """Each node's class number per coordinate, the classes numbered by their
+    largest slot: j*N plus t's rank among top node j's coordinates. The search
+    draws coefficient row c for class c, so this numbering is part of its rng
+    stream: the pinned search results depend on it."""
+    tops = [(t, m, m.bit_length() - 1) for t, ms in enumerate(classes) for m in ms]
+    tops.sort(key=lambda c: c[2] * N + cols[c[2]].index(c[0]))
+    number = {(t, m): c for c, (t, m, _) in enumerate(tops)}
+    return [{t: number[t, m] for t in ts for m in classes[t] if m >> i & 1} for i, ts in enumerate(cols)]
 
 
 def _solve_alignment(
@@ -298,28 +312,28 @@ def _solve_alignment(
     node_idx: dict[str, int],
     atoms: dict[str, set[int]],
     qedges: list[tuple[str, str]],
-    uedges: list[tuple[str, str]],
+    adj: list[int],
     rng: np.random.Generator,
 ) -> LinearScheme | None:
-    total = len(nodes) * N
-    cols = {n: sorted(atoms[n]) for n in nodes}
-    slot = {(n, t): node_idx[n] * N + r for n in nodes for r, t in enumerate(cols[n])}
-    # each unqualified constraint F_u[t] = F_v[t] joins two slots of noise
-    # coordinate t, so the solution space is spanned by the indicator vectors
-    # of the slot classes, no class holds two coordinates, and the member for
-    # class rows ``coeffs`` has slot rows coeffs[cls]
-    k, cls = _slot_classes(total, [(slot[u, t], slot[v, t]) for u, v in uedges for t in atoms[u] & atoms[v]])
-    # a qualified edge decodes when its shared slots' row differences, the
-    # coeffs[a] - coeffs[b] over their class pairs with a != b, have rank L.
-    # One coordinate per class means these pairs share no class, so the rank
-    # can reach L only with at least L pairs; with fewer, the draws are still
-    # made, which keeps the rng stream, and all fail.
-    checks = []
-    for u, v in qedges:
-        shared = list(atoms[u] & atoms[v])
-        a, b = cls[[slot[u, t] for t in shared]], cls[[slot[v, t] for t in shared]]
-        checks.append((a[a != b], b[a != b]))
-    short = any(len(a) < L for a, _ in checks)
+    cols = [sorted(atoms[n]) for n in nodes]
+    classes = _coordinate_classes(cols, adj, L_Z)
+    k = sum(map(len, classes))
+    # a qualified edge (u, v) decodes when the rows coeffs[a] - coeffs[b] have
+    # rank L, over its shared coordinates on which u's class a does not hold v
+    # (v's class b). These pairs share no class, so fewer than L of them never
+    # pass: the configuration is short, and its draws still keep the rng stream
+    short = any(
+        sum(not m >> node_idx[v] & 1 for t in atoms[u] & atoms[v] for m in classes[t] if m >> node_idx[u] & 1) < L
+        for u, v in qedges
+    )
+    if not short:
+        # the member for class rows ``coeffs`` has slot rows coeffs[cls]
+        label = _number_classes(classes, cols, N)
+        cls = np.array([label[i][t] for i, ts in enumerate(cols) for t in ts], dtype=np.intp)
+        checks = []
+        for u, v in qedges:
+            lu, lv = label[node_idx[u]], label[node_idx[v]]
+            checks.append(np.array([(lu[t], lv[t]) for t in atoms[u] & atoms[v] if lu[t] != lv[t]]).T)
     for _ in range(SEARCH_INNER_DRAWS):
         coeffs = rng.integers(0, field.p, size=(k, L), dtype=np.int64)
         if not short and all(residue_rank(coeffs[a] - coeffs[b], field.p) == L for a, b in checks):
@@ -328,15 +342,9 @@ def _solve_alignment(
         return None
     rows = coeffs[cls]
     precoders = {}
-    for n in nodes:
+    for i, n in enumerate(nodes):
         h = np.zeros((N, L_Z), dtype=np.int64)
-        h[np.arange(N), cols[n]] = 1
-        precoders[n] = (FieldMatrix(rows[node_idx[n] * N : node_idx[n] * N + N], field), FieldMatrix(h, field))
-    return LinearScheme(
-        field=field,
-        L=L,
-        L_Z=L_Z,
-        N=N,
-        precoders=precoders,
-        name=f"search-{inst.name}" if inst.name else "search",
-    )
+        h[np.arange(N), cols[i]] = 1
+        precoders[n] = (FieldMatrix(rows[i * N : i * N + N], field), FieldMatrix(h, field))
+    name = f"search-{inst.name}" if inst.name else "search"
+    return LinearScheme(field=field, L=L, L_Z=L_Z, N=N, precoders=precoders, name=name)

@@ -330,6 +330,10 @@ def main(argv: list[str] | None = None) -> int:
         # OSError: an argument names a directory, or an output path cannot be written
         print(f"error: {e}", file=sys.stderr)
         return USAGE_ERROR
+    except MemoryError as e:
+        # parameters whose arrays cannot be allocated, e.g. a search's draws at a huge --Lz
+        print(f"error: out of memory: {e}" if str(e) else "error: out of memory", file=sys.stderr)
+        return USAGE_ERROR
 
 
 if __name__ == "__main__":

@@ -1,5 +1,8 @@
+import collections
+import functools
 import hashlib
 import importlib.util
+import operator
 from fractions import Fraction
 from pathlib import Path
 
@@ -10,8 +13,9 @@ from hypothesis import assume, example, given, settings, strategies as st
 import cdscover as cc
 from cdscover.bounds import (
     SEARCH_INNER_DRAWS,
+    _coordinate_classes,
+    _number_classes,
     _sample_atoms,
-    _slot_classes,
     _solve_alignment,
     classify_linear_capacity,
     color_isomorphic,
@@ -235,6 +239,92 @@ def test_search_stream_is_pinned_across_a_grid(catalog_instances):
     assert h.hexdigest() == "363a9b4688de0153720ccfcc6da2e3b077082f8f2cf099458c7e125912a689b1"
 
 
+# -- reference solver: one union-find over every (node, coordinate) slot ------------
+#
+# ``_solve_alignment`` must agree with it on every result, class numbering and
+# generator state. It reaches the slots through a (node, t) -> slot dict.
+
+
+def _slot_classes(total: int, pairs: list[tuple[int, int]]) -> tuple[int, np.ndarray]:
+    """Classes of the slots 0..total-1 under the equalities ``pairs``.
+
+    Returns the class count k and each slot's class index. Classes are
+    numbered by their largest slot. The search draws row ``i`` of its
+    coefficients for class ``i``, so this numbering is part of its rng
+    stream: the pinned search results depend on it.
+    """
+    parent = list(range(total))
+
+    def find(s: int) -> int:
+        while parent[s] != s:
+            parent[s] = parent[parent[s]]
+            s = parent[s]
+        return s
+
+    for s, t in pairs:
+        rs, rt = find(s), find(t)
+        if rs != rt:
+            # the larger root stays a root, so each root is its class's largest slot
+            parent[min(rs, rt)] = max(rs, rt)
+    roots = [find(s) for s in range(total)]
+    number = {r: i for i, r in enumerate(sorted(set(roots)))}
+    return len(number), np.array([number[r] for r in roots], dtype=np.intp)
+
+
+def _union_find_solve_alignment(
+    inst: CdsInstance,
+    field: PrimeField,
+    L: int,
+    N: int,
+    L_Z: int,
+    nodes: list[str],
+    node_idx: dict[str, int],
+    atoms: dict[str, set[int]],
+    qedges: list[tuple[str, str]],
+    uedges: list[tuple[str, str]],
+    rng: np.random.Generator,
+) -> LinearScheme | None:
+    total = len(nodes) * N
+    cols = {n: sorted(atoms[n]) for n in nodes}
+    slot = {(n, t): node_idx[n] * N + r for n in nodes for r, t in enumerate(cols[n])}
+    # each unqualified constraint F_u[t] = F_v[t] joins two slots of noise
+    # coordinate t, so the solution space is spanned by the indicator vectors
+    # of the slot classes, no class holds two coordinates, and the member for
+    # class rows ``coeffs`` has slot rows coeffs[cls]
+    k, cls = _slot_classes(total, [(slot[u, t], slot[v, t]) for u, v in uedges for t in atoms[u] & atoms[v]])
+    # a qualified edge decodes when its shared slots' row differences, the
+    # coeffs[a] - coeffs[b] over their class pairs with a != b, have rank L.
+    # One coordinate per class means these pairs share no class, so the rank
+    # can reach L only with at least L pairs; with fewer, the draws are still
+    # made, which keeps the rng stream, and all fail.
+    checks = []
+    for u, v in qedges:
+        shared = list(atoms[u] & atoms[v])
+        a, b = cls[[slot[u, t] for t in shared]], cls[[slot[v, t] for t in shared]]
+        checks.append((a[a != b], b[a != b]))
+    short = any(len(a) < L for a, _ in checks)
+    for _ in range(SEARCH_INNER_DRAWS):
+        coeffs = rng.integers(0, field.p, size=(k, L), dtype=np.int64)
+        if not short and all(residue_rank(coeffs[a] - coeffs[b], field.p) == L for a, b in checks):
+            break
+    else:
+        return None
+    rows = coeffs[cls]
+    precoders = {}
+    for n in nodes:
+        h = np.zeros((N, L_Z), dtype=np.int64)
+        h[np.arange(N), cols[n]] = 1
+        precoders[n] = (FieldMatrix(rows[node_idx[n] * N : node_idx[n] * N + N], field), FieldMatrix(h, field))
+    return LinearScheme(
+        field=field,
+        L=L,
+        L_Z=L_Z,
+        N=N,
+        precoders=precoders,
+        name=f"search-{inst.name}" if inst.name else "search",
+    )
+
+
 @st.composite
 def equality_systems(draw):
     """(p, slot count, pairs of distinct slots to equate)."""
@@ -290,6 +380,16 @@ def test_class_pair_rank_is_incidence_rank(system):
         incidence[i, b] -= 1
     for p in (2, 3, 5):
         assert k - _slot_classes(k, pairs)[0] == residue_rank(incidence, p)
+
+
+def _adjacency(nodes, uedges):
+    """Each node's unqualified neighbours as a bitmask over node indices."""
+    index = {n: i for i, n in enumerate(nodes)}
+    adj = [0] * len(nodes)
+    for u, v in uedges:
+        adj[index[u]] |= 1 << index[v]
+        adj[index[v]] |= 1 << index[u]
+    return adj
 
 
 def _slots(nodes, N, atoms):
@@ -372,15 +472,16 @@ def test_solve_alignment_matches_dense_reference():
         node_idx = {n: i for i, n in enumerate(nodes)}
         qedges = [(a_node(x), b_node(y)) for x, y in sorted(inst.qualified)]
         uedges = [(a_node(x), b_node(y)) for x, y in sorted(inst.unqualified)]
+        adj = _adjacency(nodes, uedges)
         fast, dense = np.random.default_rng(seed), np.random.default_rng(seed)
         for _ in range(6):
             atoms = _sample_atoms(fast, nodes, qedges, L, N, L_Z)
             assert atoms == _sample_atoms(dense, nodes, qedges, L, N, L_Z)
             if atoms is None:
                 continue
-            args = (inst, field, L, N, L_Z, nodes, node_idx, atoms, qedges, uedges)
-            got = _solve_alignment(*args, fast)
-            want, deficient = _dense_solve_alignment(*args, dense)
+            args = (inst, field, L, N, L_Z, nodes, node_idx, atoms, qedges)
+            got = _solve_alignment(*args, adj, fast)
+            want, deficient = _dense_solve_alignment(*args, uedges, dense)
             assert (got is None) == (want is None)
             if got is not None:
                 assert serialize_scheme(got) == serialize_scheme(want)
@@ -397,7 +498,8 @@ def test_slot_classes_hold_one_coordinate(case):
     # the search's early exit counts a qualified edge's class pairs with
     # a != b, which is their differences' rank bound only because every
     # unqualified equality joins two slots of one noise coordinate: each
-    # class then holds one coordinate and those pairs share no class
+    # class then holds one coordinate and those pairs share no class. The
+    # search's per-coordinate classes are the union-find's, numbered alike
     inst, _, L, N, L_Z, seed = case
     nodes = inst.nodes()
     qedges = [(a_node(x), b_node(y)) for x, y in sorted(inst.qualified)]
@@ -417,6 +519,88 @@ def test_slot_classes_hold_one_coordinate(case):
             pairs = [(cls[slot[u, t]], cls[slot[v, t]]) for t in atoms[u] & atoms[v]]
             ends = [c for a, b in pairs if a != b for c in (a, b)]
             assert len(ends) == len(set(ends))
+        _assert_coordinate_classes_match(nodes, N, L_Z, atoms, uedges, k, cls)
+
+
+def _assert_coordinate_classes_match(nodes, N, L_Z, atoms, uedges, k, cls):
+    """The search's classes of each coordinate split its holders, and once
+    numbered they are the union-find's classes ``cls`` (k of them) slot for
+    slot."""
+    cols = [sorted(atoms[n]) for n in nodes]
+    classes = _coordinate_classes(cols, _adjacency(nodes, uedges), L_Z)
+    for t, masks in enumerate(classes):
+        holders = sum(1 << i for i, n in enumerate(nodes) if t in atoms[n])
+        assert sum(masks) == functools.reduce(operator.or_, masks, 0) == holders
+    assert sum(map(len, classes)) == k
+    label = _number_classes(classes, cols, N)
+    assert [label[i][t] for i, ts in enumerate(cols) for t in ts] == cls.tolist()
+
+
+def _lockstep(inst, p, L, N, L_Z, seed, configurations):
+    """Run ``configurations`` rounds of the search loop from two generators of
+    one seed, one through ``_solve_alignment`` and one through the union-find
+    reference, and check that results, serialized schemes, classes and
+    generator states agree after every configuration. Returns how many
+    configurations failed repair, were short, had all their draws fail the
+    rank test, or gave a scheme."""
+    field, nodes = PrimeField(p), inst.nodes()
+    node_idx = {n: i for i, n in enumerate(nodes)}
+    qedges = [(a_node(x), b_node(y)) for x, y in sorted(inst.qualified)]
+    uedges = [(a_node(x), b_node(y)) for x, y in sorted(inst.unqualified)]
+    adj = _adjacency(nodes, uedges)
+    new, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+    outcomes = collections.Counter()
+    for _ in range(configurations):
+        atoms = _sample_atoms(new, nodes, qedges, L, N, L_Z)
+        ref_atoms = _sample_atoms(ref, nodes, qedges, L, N, L_Z)
+        assert atoms == ref_atoms
+        if atoms is None:
+            outcomes["repair failed"] += 1
+            continue
+        got = _solve_alignment(inst, field, L, N, L_Z, nodes, node_idx, atoms, qedges, adj, new)
+        want = _union_find_solve_alignment(inst, field, L, N, L_Z, nodes, node_idx, ref_atoms, qedges, uedges, ref)
+        assert (got is None) == (want is None)
+        if got is not None:
+            assert serialize_scheme(got) == serialize_scheme(want)
+        assert new.bit_generator.state == ref.bit_generator.state
+        slot = _slots(nodes, N, atoms)
+        k, cls = _slot_classes(len(slot), [(slot[u, t], slot[v, t]) for u, v in uedges for t in atoms[u] & atoms[v]])
+        _assert_coordinate_classes_match(nodes, N, L_Z, atoms, uedges, k, cls)
+        short = any(len({t for t in atoms[u] & atoms[v] if cls[slot[u, t]] != cls[slot[v, t]]}) < L for u, v in qedges)
+        outcomes["short" if short else "rank failed" if got is None else "scheme"] += 1
+    return outcomes
+
+
+def test_solve_alignment_matches_union_find_reference():
+    seen = collections.Counter()
+
+    @given(search_cases())
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    def check(case):
+        inst, p, L, N, L_Z, seed = case
+        seen.update(_lockstep(inst, p, L, N, L_Z, seed, 6))
+
+    check()
+    assert seen.keys() == {"repair failed", "short", "rank failed", "scheme"}
+
+
+@pytest.mark.parametrize(
+    "name, p, L, N, L_Z, seed, configurations, expected",
+    [
+        # the fixture search's shape: repairs, short configurations and a scheme
+        pytest.param("fig2", 3, 4, 5, 9, 0, 600, {"repair failed", "short", "rank failed", "scheme"}, id="fig2"),
+        # 80 nodes: node bitmasks past 64 bits
+        pytest.param("cycle", 5, 1, 3, 4, 1, 30, {"short", "rank failed", "scheme"}, id="cycle-40x40"),
+        # 70 noise coordinates: more coordinates than an int64 has bits
+        pytest.param("fig5", 3, 2, 66, 70, 2, 10, {"scheme"}, id="fig5-Lz70-found"),
+        pytest.param("fig5", 3, 1, 8, 70, 2, 30, {"short", "rank failed"}, id="fig5-Lz70-sparse"),
+    ],
+)
+def test_solve_alignment_matches_union_find_reference_at_scale(
+    catalog_instances, name, p, L, N, L_Z, seed, configurations, expected
+):
+    inst = catalog_instances[name] if name != "cycle" else cc.random_instance(seed, 40, 40, "cycle", 0.03)
+    assert _lockstep(inst, p, L, N, L_Z, seed, configurations).keys() == expected
 
 
 def test_search_deterministic(catalog_instances):

@@ -387,6 +387,15 @@ def test_moduli_past_int64_products_exit_2(tmp_path, capsys):
     assert "overflow int64" in capsys.readouterr().err
 
 
+def test_search_draws_too_large_to_allocate_exit_2(capsys):
+    # the first draw asks for a (7, 10**16) float64 block, 497 PiB: more than
+    # any 64-bit address space maps, so numpy's MemoryError comes at once on
+    # every host, whatever its overcommit policy
+    assert main(["search", "fig2", "--p", "3", "--L", "1", "--N", "1", "--Lz", str(10**16)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: out of memory: ") and err.count("\n") == 1
+
+
 def test_ragged_precoder_rows_exit_2(tmp_path, capsys):
     obj = json.loads(cc.catalog.scheme_text("fig2-rate-2-5"))
     obj["nodes"]["B3"]["H"][1].append(0)

@@ -5,6 +5,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 LAYERS = ROOT / "perfbench" / "layers.py"
 
@@ -28,11 +30,27 @@ def test_every_traced_target_exists():
         assert callable(owner), f"{module_name}.{attr} is not callable"
 
 
-def test_replay_digest_replays_only_the_named_workload():
+@pytest.fixture(scope="module")
+def synth_search_replay():
+    """The seed-1 synth-search replay's stdout (about 3 s)."""
     proc = subprocess.run(
         [sys.executable, str(ROOT / "scripts" / "replay_digest.py"), "--seed", "1", "--workload", "synth-search"],
         capture_output=True,
         text=True,
         check=True,
     )
-    assert re.fullmatch(r"synth-search seed 1: \d+ ops [0-9a-f]{64}\n", proc.stdout)
+    return proc.stdout
+
+
+def test_replay_digest_replays_only_the_named_workload(synth_search_replay):
+    assert re.fullmatch(r"synth-search seed 1: \d+ ops [0-9a-f]{64}\n", synth_search_replay)
+
+
+def test_synth_search_replay_digest_is_pinned(synth_search_replay):
+    # byte-identical synth, verify and search outputs on the benchmark's
+    # seed-1 operations: any change to the search's rng stream (the order or
+    # the arguments of its draws, or its class numbering) changes this
+    # digest, and so would the audit corpus, whose searched schemes come from
+    # random_scheme_search
+    digest = "f304f8288cc2e7d3f79c05fcd702193cbec1214a95149f296f60b7a1a321912a"
+    assert synth_search_replay == f"synth-search seed 1: 199 ops {digest}\n"
