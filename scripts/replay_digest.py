@@ -1,14 +1,15 @@
 #!/usr/bin/env python3
 """Replay the benchmark workloads once and print a digest of their outputs.
 
-Usage: ``python scripts/replay_digest.py --seed S [--workload W]...``
+Usage: ``python scripts/replay_digest.py --seed S [--seed S]... [--workload W]...``
 
 For each workload (analyze, synth-search and audit by default; repeat
-``--workload`` to replay only the named ones) the script plans the
+``--workload`` to replay only the named ones) and each seed (repeat
+``--seed`` for several, e.g. ``--seed 1 --seed 2``) the script plans the
 seeded inputs and operations by running ``perfbench/workloads.py`` in a
 subprocess, writes the planned input files into a temporary directory, and
 sends every operation through ``cdscover.cli.main`` once. It prints one
-sha256 per workload over each operation's exit code (or the name of an
+sha256 per (workload, seed) over each operation's exit code (or the name of an
 exception that escaped), stdout, stderr and the files it wrote with
 ``-o``, with the temporary directory replaced by a placeholder. Two
 checkouts whose digests agree on a seed gave byte-identical outputs on
@@ -74,12 +75,13 @@ def digest(workload: str, seed: int) -> tuple[str, int]:
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--seed", type=int, required=True)
+    parser.add_argument("--seed", type=int, action="append", required=True, help="replay this seed (repeatable)")
     parser.add_argument("--workload", action="append", choices=WORKLOADS, help="replay only this workload (repeatable)")
     args = parser.parse_args(argv)
     for workload in args.workload or WORKLOADS:
-        hexdigest, ops = digest(workload, args.seed)
-        print(f"{workload} seed {args.seed}: {ops} ops {hexdigest}")
+        for seed in args.seed:
+            hexdigest, ops = digest(workload, seed)
+            print(f"{workload} seed {seed}: {ops} ops {hexdigest}")
     return 0
 
 

@@ -20,7 +20,7 @@ from fractions import Fraction
 import numpy as np
 
 from .fields import FieldMatrix, PrimeField
-from .graph import CdsInstance, CoverWitness, a_node, b_node, qualified_components, rho
+from .graph import CdsInstance, CoverWitness, a_node, b_node, neighbour_masks, qualified_components, reach_mask, rho
 from .linalg import residue_rank
 from .scheme import LinearScheme, check_field_size, verify_linear
 
@@ -220,8 +220,7 @@ def random_scheme_search(
     nodes = inst.nodes()
     node_idx = {n: i for i, n in enumerate(nodes)}
     qedges = [(a_node(x), b_node(y)) for x, y in sorted(inst.qualified)]
-    uadj = inst.unqualified_adjacency()
-    adj = [sum(1 << node_idx[w] for w in uadj[n]) for n in nodes]  # unqualified neighbours as node bitmasks
+    adj = neighbour_masks(inst, inst.unqualified)
 
     for _ in range(budget):
         atoms = _sample_atoms(rng, nodes, qedges, L, N, L_Z)
@@ -275,18 +274,8 @@ def _coordinate_classes(cols: list[list[int]], adj: list[int], L_Z: int) -> list
     for rest in holders:
         found = []
         while rest:
-            frontier = members = rest & -rest
-            rest ^= frontier
-            while frontier:
-                reach = 0
-                while frontier:
-                    low = frontier & -frontier
-                    frontier ^= low
-                    reach |= adj[low.bit_length() - 1]
-                frontier = reach & rest
-                rest ^= frontier
-                members |= frontier
-            found.append(members)
+            found.append(reach_mask(adj, rest & -rest, rest))
+            rest ^= found[-1]
         classes.append(found)
     return classes
 

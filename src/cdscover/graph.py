@@ -17,6 +17,7 @@ from typing import Collection, Iterable, Iterator, Sequence
 import numpy as np
 
 Edge = tuple[str, str]  # (A-node, B-node), e.g. ("A1", "B2")
+EdgeSet = tuple[int, int, int, tuple[int, ...]]  # see _connected_edge_sets
 
 
 class InstanceError(ValueError):
@@ -79,7 +80,7 @@ class CdsInstance:
         ]
 
     def qualified_node_edges(self) -> list[Edge]:
-        return sorted((edge_nodes(p) for p in self.qualified), key=lambda e: (node_key(e[0]), node_key(e[1])))
+        return [edge_nodes(p) for p in sorted(self.qualified)]  # (x, y) order is node_key order
 
     def edges_with_kind(self) -> Iterator[tuple[tuple[int, int], str]]:
         for p in sorted(self.qualified):
@@ -117,6 +118,34 @@ def _reach(adj: dict[str, set[str]], start: str, within: Collection[str]) -> set
                 seen.add(nb)
                 stack.append(nb)
     return seen
+
+
+def neighbour_masks(inst: CdsInstance, pairs: Iterable[tuple[int, int]]) -> list[int]:
+    """Each node's neighbours along the (x, y) ``pairs`` as a bitmask, in which
+    bit i stands for ``inst.nodes()[i]``, so that bit order is node_key order."""
+    masks = [0] * (inst.a_count + inst.b_count)
+    for x, y in pairs:
+        masks[x - 1] |= 1 << inst.a_count + y - 1
+        masks[inst.a_count + y - 1] |= 1 << x - 1
+    return masks
+
+
+def reach_mask(adj: Sequence[int], start: int, within: int) -> int:
+    """``_reach`` on node bitmasks: the nodes joined to those of ``start`` by
+    edges of ``adj`` (a neighbour bitmask per node) whose ends lie in
+    ``within``, ``start`` included, grown one frontier at a time."""
+    members = frontier = start
+    within &= ~start
+    while frontier:
+        grown = 0
+        while frontier:
+            low = frontier & -frontier
+            frontier ^= low
+            grown |= adj[low.bit_length() - 1]
+        frontier = grown & within
+        within ^= frontier
+        members |= frontier
+    return members
 
 
 # -- parsing and serialization ------------------------------------------------
@@ -227,9 +256,7 @@ def _walk(adj: dict[str, set[str]], start: str) -> tuple[str, ...]:
 # -- unqualified classes and candidate paths -----------------------------------
 
 
-def unqualified_classes(
-    nodes: Collection[str], uadj: dict[str, set[str]]
-) -> tuple[tuple[str, ...], ...]:
+def unqualified_classes(nodes: Collection[str], uadj: dict[str, set[str]]) -> tuple[tuple[str, ...], ...]:
     """Unqualified connected components of the subgraph induced by ``nodes``.
 
     Each class is sorted by ``node_key`` and the classes are ordered by
@@ -250,25 +277,12 @@ def unqualified_classes(
 def _simple_paths(adj: dict[str, set[str]], start: str, goal: str) -> Iterator[tuple[str, ...]]:
     """All simple paths start..goal, in node_key-lexicographic order."""
     reach = _reach(adj, goal, adj)
-    if start not in reach:
-        return
-    path = [start]
-    on_path = {start}
 
-    def rec() -> Iterator[tuple[str, ...]]:
-        for nb in sorted(adj[path[-1]], key=node_key):
-            if nb in on_path or nb not in reach:
-                continue
-            if nb == goal:
-                yield tuple(path) + (goal,)
-                continue
-            path.append(nb)
-            on_path.add(nb)
-            yield from rec()
-            path.pop()
-            on_path.remove(nb)
+    def extend(path: tuple[str, ...]) -> Iterator[tuple[str, ...]]:
+        for nb in sorted(adj[path[-1]] & reach - set(path), key=node_key):
+            yield from [path + (goal,)] if nb == goal else extend(path + (nb,))
 
-    yield from rec()
+    return extend((start,)) if start in reach else iter(())
 
 
 def internal_qualified_edge_candidates(inst: CdsInstance) -> list[tuple[Edge, tuple[str, ...]]]:
@@ -317,14 +331,9 @@ class CoverWitness:
         missing = [n for n in self.path if n not in covered]
         if missing:
             problems.append(f"cover misses path nodes {missing}")
-        if self.cover and not _edges_connected(self.cover):
+        if self.cover and _reach(_adjacency(covered, self.cover), min(covered), covered) != covered:
             problems.append("cover is not connected")
         return problems
-
-
-def _edges_connected(edges: frozenset[Edge]) -> bool:
-    adj = _adjacency((n for e in edges for n in e), edges)
-    return len(_reach(adj, next(iter(adj)), adj)) == len(adj)
 
 
 def _is_edge(pairs: frozenset[tuple[int, int]], u: str, v: str) -> bool:
@@ -349,42 +358,59 @@ def _pair_problems(inst: CdsInstance, e: Edge, path: Sequence[str]) -> list[str]
     return problems
 
 
-def _incident_edges(inst: CdsInstance) -> dict[str, list[Edge]]:
-    incident: dict[str, list[Edge]] = {n: [] for n in inst.nodes()}
-    for edge in inst.qualified_node_edges():
-        incident[edge[0]].append(edge)
-        incident[edge[1]].append(edge)
-    return incident
+def _edge_masks(inst: CdsInstance) -> tuple[list[int], list[list[int]]]:
+    """Each qualified edge's ends as a node bitmask, the edges numbered in
+    ``qualified_node_edges()`` order, and each node's edge ids in that order."""
+    ends, incident = [], [[] for _ in range(inst.a_count + inst.b_count)]
+    for j, (x, y) in enumerate(sorted(inst.qualified)):
+        a, b = x - 1, inst.a_count + y - 1
+        ends.append(1 << a | 1 << b)
+        incident[a].append(j)
+        incident[b].append(j)
+    return ends, incident
 
 
 def _connected_edge_sets(
-    incident: dict[str, list[Edge]], e: Edge
-) -> Iterator[list[tuple[tuple[Edge, ...], frozenset[str]]]]:
-    """Every connected qualified edge set containing ``e``, one size at a time.
+    ends: list[int], incident: list[list[int]], uadj: list[int], e: int
+) -> Iterator[list[EdgeSet]]:
+    """Every connected qualified edge set containing edge ``e``, one size at a time.
 
-    Yields the list of (edges, their nodes) of size 1, 2, ... until none is
-    left. Each set is produced exactly once: a set grows only by an edge of
-    its frontier (qualified edges touching it), and the frontier edges
-    before the chosen one are dropped from that branch for good. A new
-    node brings its edges to nodes outside the set onto the frontier; its
-    edges to nodes inside the set were already there or already dropped.
+    A set is (edge-id mask, node mask, reach, frontier), reach being the
+    nodes that the set's unqualified edges join to e's lesser end u. Yields,
+    for sizes 1, 2, ... until none is left, the sets that gain a node on
+    their parent ({e} at size 1). Each set is produced exactly once: it grows
+    only by an edge of its frontier (qualified edges touching it), and the
+    frontier edges before the chosen one are dropped from that branch for
+    good. A new node w brings its edges to nodes outside the set onto the
+    frontier (its other edges are there or dropped already), and grows the
+    reach, from w alone, when it touches it.
     """
-    frontier = tuple(f for n in e for f in incident[n] if f != e)
-    level = [((e,), frozenset(e), frontier)]
+    u, v = (ends[e] & -ends[e]).bit_length() - 1, ends[e].bit_length() - 1
+    frontier = tuple(f for n in (u, v) for f in incident[n] if f != e)
+    level = fresh = [(1 << e, ends[e], 1 << u, frontier)]  # e is qualified, so not unqualified
     while level:
-        yield [(edges, nodes) for edges, nodes, _ in level]
-        grown = []
-        for edges, nodes, frontier in level:
+        yield fresh
+        grown, fresh = [], []
+        for edges, nodes, reach, frontier in level:
             for i, f in enumerate(frontier):
-                rest = frontier[i + 1 :]
-                new = [n for n in f if n not in nodes]
-                if new:
-                    w = new[0]
-                    rest += tuple(g for g in incident[w] if g[0] not in nodes and g[1] not in nodes)
-                    grown.append((edges + (f,), nodes | {w}, rest))
-                else:
-                    grown.append((edges + (f,), nodes, rest))
+                w = ends[f] & ~nodes
+                if not w:
+                    grown.append((edges | 1 << f, nodes, reach, frontier[i + 1 :]))
+                    continue
+                n = w.bit_length() - 1
+                rest = frontier[i + 1 :] + tuple(g for g in incident[n] if not ends[g] & nodes)
+                grew = reach | reach_mask(uadj, w, nodes & ~reach) if uadj[n] & reach else reach
+                grown.append((edges | 1 << f, nodes | w, grew, rest))
+                fresh.append(grown[-1])
         level = grown
+
+
+def _least_cover(inst: CdsInstance, sets: list[EdgeSet], target: int) -> frozenset[Edge] | None:
+    """The least by ``tuple(sorted(cover))``, in string order, of the ``sets`` whose nodes hold ``target``."""
+    qedges = inst.qualified_node_edges()
+    covers = [tuple(sorted(qedges[j] for j in range(len(qedges)) if edges >> j & 1))
+              for edges, nodes, _, _ in sets if nodes & target == target]
+    return frozenset(min(covers)) if covers else None
 
 
 def min_connected_edge_cover(inst: CdsInstance, e: Edge, path: Sequence[str]) -> CoverWitness | None:
@@ -397,15 +423,14 @@ def min_connected_edge_cover(inst: CdsInstance, e: Edge, path: Sequence[str]) ->
     problems = _pair_problems(inst, e, path)
     if problems:
         raise InstanceError(problems[0])
-    target = set(path)
-    qadj = inst.qualified_adjacency()
-    if not target <= _reach(qadj, e[0], qadj):
+    target = sum(1 << inst.nodes().index(n) for n in path)
+    ends, incident = _edge_masks(inst)
+    j = inst.qualified_node_edges().index(e)
+    if target & ~reach_mask(neighbour_masks(inst, inst.qualified), ends[j], (1 << len(incident)) - 1):
         return None
-    for level in _connected_edge_sets(_incident_edges(inst), e):
-        covers = [tuple(sorted(edges)) for edges, nodes in level if target <= nodes]
-        if covers:
-            return CoverWitness(edge=e, path=tuple(path), cover=frozenset(min(covers)))
-    return None  # unreachable: the whole component covers P
+    levels = _connected_edge_sets(ends, incident, neighbour_masks(inst, inst.unqualified), j)  # the component covers P
+    cover = next(filter(None, (_least_cover(inst, level, target) for level in levels)))
+    return CoverWitness(edge=e, path=tuple(path), cover=cover)
 
 
 @dataclass(frozen=True)
@@ -418,14 +443,14 @@ class RhoResult:
         return self.value is None
 
 
-def _least_path(uadj: dict[str, set[str]], nodes: frozenset[str], u: str, v: str) -> tuple[str, ...]:
-    """The node_key-lexicographically least simple unqualified u-v path inside
-    ``nodes``: each step takes the least neighbour from which v can still be
-    reached without revisiting the path."""
+def _least_path(uadj: list[int], nodes: int, u: int, v: int) -> tuple[int, ...]:
+    """The least simple unqualified u-v path inside the node mask ``nodes``, as
+    node indices (so least in node_key-lexicographic order): each step takes
+    the least neighbour from which v can still be reached off the path."""
     path = [u]
     while path[-1] != v:
-        reach = _reach(uadj, v, nodes - set(path))
-        path.append(min((n for n in uadj[path[-1]] if n in reach), key=node_key))
+        step = uadj[path[-1]] & reach_mask(uadj, 1 << v, nodes & ~sum(1 << n for n in path))
+        path.append((step & -step).bit_length() - 1)
     return tuple(path)
 
 
@@ -439,6 +464,9 @@ def rho(inst: CdsInstance) -> RhoResult:
     endpoints are not unqualified-connected inside their qualified
     component are skipped; the others are searched together, one set size
     at a time, so no search goes past the smallest size any edge reaches.
+    The search runs on node bitmasks (bit i is ``inst.nodes()[i]``) and
+    tests only sets that gain a node: a set with its parent's nodes has its
+    parent's reach from u, and that parent, one size smaller, was rejected.
 
     The witness is fixed by three tie-breaks: the first qualified edge in
     ``node_key`` order that attains rho; then the ``node_key``-
@@ -446,29 +474,25 @@ def rho(inst: CdsInstance) -> RhoResult:
     that edge; then the least ``tuple(sorted(cover))`` optimal set whose
     nodes hold that path.
     """
-    uadj = inst.unqualified_adjacency()
-    label: dict[str, tuple[str, ...]] = {}
-    for comp in qualified_components(inst):
-        for group in unqualified_classes(comp.nodes, uadj):
-            label.update(dict.fromkeys(group, group))
-    incident = _incident_edges(inst)
-    searches = [
-        (e, _connected_edge_sets(incident, e))
-        for e in inst.qualified_node_edges()
-        if label[e[0]] == label[e[1]]
-    ]
+    uadj, qadj = neighbour_masks(inst, inst.unqualified), neighbour_masks(inst, inst.qualified)
+    ends, incident = _edge_masks(inst)
+    searches = []
+    for e, both in enumerate(ends):
+        u, v = (both & -both).bit_length() - 1, both.bit_length() - 1
+        if reach_mask(uadj, 1 << u, reach_mask(qadj, 1 << u, (1 << len(uadj)) - 1)) >> v & 1:
+            searches.append((e, u, v, _connected_edge_sets(ends, incident, uadj, e)))
     if not searches:
         return RhoResult(None, None)
     while True:
         # a search accepts its whole component at the latest, since only
         # edges whose endpoints it joins were kept, so next() never runs out
-        for e, levels in searches:
-            joined = [(edges, nodes) for edges, nodes in next(levels) if e[1] in _reach(uadj, e[0], nodes)]
+        for e, u, v, levels in searches:
+            joined = [s for s in next(levels) if s[2] >> v & 1]  # u's reach holds v
             if joined:
-                paths = (_least_path(uadj, nodes, *e) for _, nodes in joined)
-                path = min(paths, key=lambda p: [node_key(n) for n in p])
-                cover = min(tuple(sorted(edges)) for edges, nodes in joined if set(path) <= nodes)
-                witness = CoverWitness(edge=e, path=path, cover=frozenset(cover))
+                path = min(_least_path(uadj, nodes, u, v) for _, nodes, _, _ in joined)
+                cover = _least_cover(inst, joined, sum(1 << n for n in path))
+                names = inst.nodes()
+                witness = CoverWitness(inst.qualified_node_edges()[e], tuple(names[n] for n in path), cover)
                 return RhoResult(witness.size, witness)
 
 
@@ -510,24 +534,11 @@ def random_instance(
     if shape == "cycle":
         qualified.add(_pair(order[-1], order[0]))
 
-    non_qualified = [
-        (x, y)
-        for x in range(1, a_count + 1)
-        for y in range(1, b_count + 1)
-        if (x, y) not in qualified
-    ]
+    non_qualified = [(x, y) for x in range(1, a_count + 1) for y in range(1, b_count + 1) if (x, y) not in qualified]
     draws = rng.random(len(non_qualified))
     unqualified = {p for p, r in zip(non_qualified, draws) if r < unqualified_density}
-
-    inst = CdsInstance(
-        name=name or f"random-{shape}-{seed}",
-        a_count=a_count,
-        b_count=b_count,
-        qualified=frozenset(qualified),
-        unqualified=frozenset(unqualified),
-    )
-    for pick in _minimal_repair(inst, rng):
-        unqualified.add(pick)
+    inst = CdsInstance(name or f"random-{shape}-{seed}", a_count, b_count, frozenset(qualified), frozenset(unqualified))
+    unqualified.update(_minimal_repair(inst, rng))
     return CdsInstance(inst.name, a_count, b_count, frozenset(qualified), frozenset(unqualified))
 
 
@@ -613,23 +624,12 @@ def disjoint_union(
     unqualified edges between them (qualified edges never cross)."""
     rng = np.random.default_rng(seed)
     ax, by = first.a_count, first.b_count
-    qualified = set(first.qualified)
-    unqualified = set(first.unqualified)
-    for x, y in second.qualified:
-        qualified.add((x + ax, y + by))
-    for x, y in second.unqualified:
-        unqualified.add((x + ax, y + by))
+    qualified = first.qualified | {(x + ax, y + by) for x, y in second.qualified}
+    unqualified = set(first.unqualified) | {(x + ax, y + by) for x, y in second.unqualified}
     cross = [
         (x, y + by) for x in range(1, ax + 1) for y in range(1, second.b_count + 1)
     ] + [(x + ax, y) for x in range(1, second.a_count + 1) for y in range(1, by + 1)]
     draws = rng.random(len(cross))
-    for p, r in zip(cross, draws):
-        if r < cross_density:
-            unqualified.add(p)
-    return CdsInstance(
-        name=name or f"{first.name}+{second.name}",
-        a_count=ax + second.a_count,
-        b_count=by + second.b_count,
-        qualified=frozenset(qualified),
-        unqualified=frozenset(unqualified),
-    )
+    unqualified |= {p for p, r in zip(cross, draws) if r < cross_density}
+    name = name or f"{first.name}+{second.name}"
+    return CdsInstance(name, ax + second.a_count, by + second.b_count, qualified, frozenset(unqualified))

@@ -12,6 +12,7 @@ from cdscover.graph import (
     CoverWitness,
     InstanceError,
     _augment,
+    _reach,
     edge_nodes,
     internal_qualified_edge_candidates,
     min_connected_edge_cover,
@@ -19,6 +20,7 @@ from cdscover.graph import (
     parse_instance,
     qualified_components,
     random_instance,
+    reach_mask,
     rho,
     serialize_instance,
     unqualified_classes,
@@ -227,6 +229,16 @@ def _exhaustive_min_cover(inst, e, path, max_size=None):
     return None
 
 
+def _assert_cover_search_matches_oracle(inst):
+    for e, path in internal_qualified_edge_candidates(inst):
+        got = min_connected_edge_cover(inst, e, path)
+        expected = _exhaustive_min_cover(inst, e, path)
+        if expected is None:
+            assert got is None
+        else:
+            assert got is not None and tuple(sorted(got.cover)) == expected
+
+
 def test_cover_search_matches_exhaustive_oracle(catalog_instances):
     # minimality spot-check against subset enumeration (<= 12 qualified edges)
     instances = [catalog_instances["fig2"], catalog_instances["fig8"]]
@@ -237,13 +249,7 @@ def test_cover_search_matches_exhaustive_oracle(catalog_instances):
     ]
     assert len(instances) >= 4
     for inst in instances:
-        for e, path in internal_qualified_edge_candidates(inst):
-            got = min_connected_edge_cover(inst, e, path)
-            expected = _exhaustive_min_cover(inst, e, path)
-            if expected is None:
-                assert got is None
-            else:
-                assert got is not None and tuple(sorted(got.cover)) == expected
+        _assert_cover_search_matches_oracle(inst)
 
 
 def test_rho_values(catalog_instances):
@@ -322,8 +328,19 @@ TIED_WITNESS = CdsInstance(
 )
 
 
+# two optimal sets hold the least path, and the least of them by string
+# order (A10 < A12 < A8) is not the least by node_key order
+TIED_COVER = CdsInstance(
+    "tied-cover",
+    12,
+    12,
+    frozenset({(8, 1), (8, 8), (8, 9), (10, 1), (12, 1), (12, 8)}),
+    frozenset({(10, 8), (10, 9), (12, 9)}),
+)
+
+
 def test_rho_matches_reference_on_catalog_and_corpus(catalog_instances):
-    instances = [TIED_WITNESS, *catalog_instances.values()]
+    instances = [TIED_WITNESS, TIED_COVER, *catalog_instances.values()]
     instances += [inst for inst, _ in random_corpus(12, start_seed=500) if len(inst.qualified) <= 12]
     assert len(instances) >= 10
     for inst in instances:
@@ -375,6 +392,32 @@ def _small_instance(draw):
 def test_rho_matches_reference_on_random_instances(inst):
     assert len(inst.qualified) <= 12
     _assert_rho_matches_reference(inst)
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_instances())
+def test_cover_search_matches_exhaustive_oracle_on_random_instances(inst):
+    # the relabelled draws put indices 10..12 on the nodes, where the string
+    # order of the cover's edges differs from their edge-id (node_key) order
+    assert len(inst.qualified) <= 12
+    _assert_cover_search_matches_oracle(inst)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_reach_mask_matches_set_reach(data):
+    # up to 70 nodes, so the masks run past 64 bits
+    n = data.draw(st.one_of(st.integers(1, 12), st.integers(60, 70)))
+    node = st.integers(0, n - 1)
+    adj = {i: set() for i in range(n)}
+    for a, b in data.draw(st.lists(st.tuples(node, node), max_size=3 * n)):
+        adj[a].add(b)
+        adj[b].add(a)
+    masks = [sum(1 << j for j in adj[i]) for i in range(n)]
+    within = data.draw(st.integers(0, (1 << n) - 1))
+    starts = data.draw(st.sets(node, min_size=1, max_size=3))
+    want = set().union(*(_reach(adj, s, {i for i in range(n) if within >> i & 1}) for s in starts))
+    assert reach_mask(masks, sum(1 << s for s in starts), within) == sum(1 << i for i in want)
 
 
 def _by_least_node(groups):

@@ -11,8 +11,8 @@ ROOT = Path(__file__).resolve().parent.parent
 LAYERS = ROOT / "perfbench" / "layers.py"
 
 
-def _load_layers():
-    spec = importlib.util.spec_from_file_location("perfbench_layers", LAYERS)
+def _load(name: str, path: Path):
+    spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -20,7 +20,7 @@ def _load_layers():
 
 def test_every_traced_target_exists():
     # the traced benchmark run fails on a name the package no longer has
-    targets = _load_layers().TARGETS
+    targets = _load("perfbench_layers", LAYERS).TARGETS
     assert targets
     for module_name, attr, span, _ in targets:
         owner = importlib.import_module(module_name)
@@ -30,16 +30,20 @@ def test_every_traced_target_exists():
         assert callable(owner), f"{module_name}.{attr} is not callable"
 
 
-@pytest.fixture(scope="module")
-def synth_search_replay():
-    """The seed-1 synth-search replay's stdout (about 3 s)."""
+def _replay(workload: str) -> str:
     proc = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / "replay_digest.py"), "--seed", "1", "--workload", "synth-search"],
+        [sys.executable, str(ROOT / "scripts" / "replay_digest.py"), "--seed", "1", "--workload", workload],
         capture_output=True,
         text=True,
         check=True,
     )
     return proc.stdout
+
+
+@pytest.fixture(scope="module")
+def synth_search_replay():
+    """The seed-1 synth-search replay's stdout (about 3 s)."""
+    return _replay("synth-search")
 
 
 def test_replay_digest_replays_only_the_named_workload(synth_search_replay):
@@ -54,3 +58,22 @@ def test_synth_search_replay_digest_is_pinned(synth_search_replay):
     # random_scheme_search
     digest = "f304f8288cc2e7d3f79c05fcd702193cbec1214a95149f296f60b7a1a321912a"
     assert synth_search_replay == f"synth-search seed 1: 199 ops {digest}\n"
+
+
+def test_analyze_replay_digest_is_pinned():
+    # byte-identical rho, bound and classify outputs (values, witnesses and
+    # verdicts) on the benchmark's seed-1 analyze operations (about 1.6 s)
+    digest = "c73958633523ef4814c53345eb0b89b4fb278fe508978961a547df669ce3dcdb"
+    assert _replay("analyze") == f"analyze seed 1: 206 ops {digest}\n"
+
+
+def test_replay_digest_prints_one_line_per_workload_and_seed(monkeypatch, capsys):
+    module = _load("replay_digest", ROOT / "scripts" / "replay_digest.py")
+    monkeypatch.setattr(module, "digest", lambda workload, seed: (f"{workload}-{seed}", seed))
+    assert module.main(["--seed", "1", "--workload", "audit", "--seed", "2", "--workload", "analyze"]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "audit seed 1: 1 ops audit-1",
+        "audit seed 2: 2 ops audit-2",
+        "analyze seed 1: 1 ops analyze-1",
+        "analyze seed 2: 2 ops analyze-2",
+    ]
