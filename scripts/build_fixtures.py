@@ -22,7 +22,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 import cdscover as cc
 from cdscover.fields import FieldMatrix, PrimeField
-from cdscover.graph import CdsInstance, a_node, b_node, unqualified_classes
+from cdscover.graph import CdsInstance, a_node, b_node, components, neighbour_masks
 from cdscover.linalg import cauchy_matrix, rank_rref, residue_rank, rowspace_intersection
 from cdscover.scheme import LinearScheme, serialize_scheme
 
@@ -284,11 +284,11 @@ def build_fig8_scheme() -> LinearScheme:
             vec = cauchy.array[idx - 1].copy()
         payload_vec[t] = vec
 
-    uadj = inst.unqualified_adjacency()
-    classes = {t: unqualified_classes(holders[t], uadj) for t in range(n_atoms)}
-    coeff = {
-        t: {n: k for k, grp in enumerate(classes[t], start=1) for n in grp} for t in range(n_atoms)
-    }
+    uadj, index = neighbour_masks(inst, inst.unqualified), {n: i for i, n in enumerate(inst.nodes())}
+    coeff = {}
+    for t in range(n_atoms):
+        classes = components(uadj, sum(1 << index[n] for n in holders[t]))
+        coeff[t] = {n: k for k, c in enumerate(classes, start=1) for n in holders[t] if c >> index[n] & 1}
     for (u, v), ts in shared.items():
         for t in ts:
             assert coeff[t][u] != coeff[t][v], (u, v, t)

@@ -20,7 +20,7 @@ from fractions import Fraction
 import numpy as np
 
 from .fields import FieldMatrix, PrimeField
-from .graph import CdsInstance, CoverWitness, a_node, b_node, neighbour_masks, qualified_components, reach_mask, rho
+from .graph import CdsInstance, CoverWitness, a_node, b_node, components, neighbour_masks, qualified_components, rho
 from .linalg import residue_rank
 from .scheme import LinearScheme, check_field_size, verify_linear
 
@@ -270,14 +270,7 @@ def _coordinate_classes(cols: list[list[int]], adj: list[int], L_Z: int) -> list
     for i, ts in enumerate(cols):
         for t in ts:
             holders[t] |= 1 << i
-    classes = []
-    for rest in holders:
-        found = []
-        while rest:
-            found.append(reach_mask(adj, rest & -rest, rest))
-            rest ^= found[-1]
-        classes.append(found)
-    return classes
+    return [components(adj, held) for held in holders]
 
 
 def _number_classes(classes: list[list[int]], cols: list[list[int]], N: int) -> list[dict[int, int]]:

@@ -6,13 +6,20 @@ pair) or unqualified (nothing may leak). rho is the minimum size of a
 connected qualified edge cover taken over all (internal qualified edge,
 unqualified path) pairs; it drives both the converse bound and the
 synthesizer.
+
+Every graph computation runs on Python-int node bitmasks: bit i stands for
+``inst.nodes()[i]``, so bit order is ``node_key`` order, and a graph is a
+list of neighbour bitmasks, one per node (``neighbour_masks``). Two walks
+serve all callers: ``reach_mask`` (the nodes joined to a start set inside
+a node mask) and ``components`` (the components on a node mask, listed by
+least node).
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Collection, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -88,36 +95,8 @@ class CdsInstance:
         for p in sorted(self.unqualified):
             yield p, "unqualified"
 
-    def qualified_adjacency(self) -> dict[str, set[str]]:
-        return _adjacency(self.nodes(), map(edge_nodes, self.qualified))
-
-    def unqualified_adjacency(self) -> dict[str, set[str]]:
-        return _adjacency(self.nodes(), map(edge_nodes, self.unqualified))
-
     def nodes_without_unqualified(self) -> list[str]:
-        adj = self.unqualified_adjacency()
-        return [n for n in self.nodes() if not adj[n]]
-
-
-def _adjacency(nodes: Iterable[str], edges: Iterable[Edge]) -> dict[str, set[str]]:
-    adj: dict[str, set[str]] = {n: set() for n in nodes}
-    for a, b in edges:
-        adj[a].add(b)
-        adj[b].add(a)
-    return adj
-
-
-def _reach(adj: dict[str, set[str]], start: str, within: Collection[str]) -> set[str]:
-    """The nodes joined to ``start`` by edges of ``adj`` whose ends lie in
-    ``within`` (``start`` included)."""
-    seen = {start}
-    stack = [start]
-    while stack:
-        for nb in adj[stack.pop()]:
-            if nb in within and nb not in seen:
-                seen.add(nb)
-                stack.append(nb)
-    return seen
+        return [n for n, m in zip(self.nodes(), neighbour_masks(self, self.unqualified)) if not m]
 
 
 def neighbour_masks(inst: CdsInstance, pairs: Iterable[tuple[int, int]]) -> list[int]:
@@ -131,9 +110,9 @@ def neighbour_masks(inst: CdsInstance, pairs: Iterable[tuple[int, int]]) -> list
 
 
 def reach_mask(adj: Sequence[int], start: int, within: int) -> int:
-    """``_reach`` on node bitmasks: the nodes joined to those of ``start`` by
-    edges of ``adj`` (a neighbour bitmask per node) whose ends lie in
-    ``within``, ``start`` included, grown one frontier at a time."""
+    """The nodes joined to those of the node mask ``start`` by edges of
+    ``adj`` (a neighbour bitmask per node) whose ends lie in ``within``,
+    ``start`` included, grown one frontier at a time."""
     members = frontier = start
     within &= ~start
     while frontier:
@@ -146,6 +125,27 @@ def reach_mask(adj: Sequence[int], start: int, within: int) -> int:
         within ^= frontier
         members |= frontier
     return members
+
+
+def components(adj: Sequence[int], within: int) -> list[int]:
+    """The components, as node bitmasks, of the graph ``adj`` (a neighbour
+    bitmask per node) on the nodes of the mask ``within``, listed by least
+    node; a node with no neighbour in ``within`` is a component of its own."""
+    found = []
+    while within:
+        found.append(reach_mask(adj, within & -within, within))
+        within ^= found[-1]
+    return found
+
+
+def _bits(mask: int) -> list[int]:
+    """The indices of the set bits of ``mask``, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
 
 
 # -- parsing and serialization ------------------------------------------------
@@ -226,63 +226,46 @@ def qualified_components(inst: CdsInstance) -> list[QualifiedComponent]:
     cycles start at the lowest-indexed A-node and move toward its
     lower-indexed qualified neighbor.
     """
-    adj = inst.qualified_adjacency()
-    seen: set[str] = set()
+    adj, names = neighbour_masks(inst, inst.qualified), inst.nodes()
     comps: list[QualifiedComponent] = []
-    for start in inst.nodes():  # in node_key order
-        if start in seen:
+    for comp in components(adj, (1 << len(adj)) - 1):
+        if comp.bit_count() == 1:  # an isolated node, the commonest component of a sparse instance
+            node = (names[comp.bit_length() - 1],)
+            comps.append(QualifiedComponent(node, "path", node))
             continue
-        reach = _reach(adj, start, adj)
-        seen |= reach
-        nodes = tuple(sorted(reach, key=node_key))
-        if any(len(adj[n]) > 2 for n in nodes):
-            comps.append(QualifiedComponent(nodes, "other", None))
+        nodes = _bits(comp)
+        degrees = [adj[i].bit_count() for i in nodes]
+        if max(degrees) > 2:
+            comps.append(QualifiedComponent(tuple([names[i] for i in nodes]), "other", None))
             continue
-        ends = [n for n in nodes if len(adj[n]) < 2]
-        comps.append(QualifiedComponent(nodes, "path" if ends else "cycle", _walk(adj, (ends or nodes)[0])))
+        least = min(degrees)  # 1 on a path, whose first end is its lesser one; 2 on a cycle
+        trav = tuple([names[i] for i in _walk(adj, nodes[degrees.index(least)])])
+        comps.append(QualifiedComponent(tuple([names[i] for i in nodes]), "path" if least < 2 else "cycle", trav))
     return comps
 
 
-def _walk(adj: dict[str, set[str]], start: str) -> tuple[str, ...]:
-    """A path or cycle from ``start``, each step to the least unvisited neighbour."""
-    order = [start]
-    seen = {start}
-    while nxt := [m for m in adj[order[-1]] if m not in seen]:
-        order.append(min(nxt, key=node_key))
-        seen.add(order[-1])
-    return tuple(order)
+def _walk(adj: Sequence[int], start: int) -> list[int]:
+    """A path or cycle from node ``start``, each step to the least unvisited
+    neighbour (the lowest bit of its neighbour mask off the walk)."""
+    order, seen = [start], 1 << start
+    while nxt := adj[order[-1]] & ~seen:
+        order.append((nxt & -nxt).bit_length() - 1)
+        seen |= 1 << order[-1]
+    return order
 
 
-# -- unqualified classes and candidate paths -----------------------------------
+# -- candidate paths ------------------------------------------------------------
 
 
-def unqualified_classes(nodes: Collection[str], uadj: dict[str, set[str]]) -> tuple[tuple[str, ...], ...]:
-    """Unqualified connected components of the subgraph induced by ``nodes``.
+def _simple_paths(adj: Sequence[int], start: int, goal: int) -> Iterator[tuple[int, ...]]:
+    """All simple paths start..goal, as node indices, in lexicographic order."""
+    reach = reach_mask(adj, 1 << goal, (1 << len(adj)) - 1)
 
-    Each class is sorted by ``node_key`` and the classes are ordered by
-    their least node; a node with no unqualified neighbour in ``nodes`` is
-    a singleton class.
-    """
-    nodes = set(nodes)
-    seen: set[str] = set()
-    groups = []
-    for start in sorted(nodes, key=node_key):
-        if start not in seen:
-            group = _reach(uadj, start, nodes)
-            seen |= group
-            groups.append(tuple(sorted(group, key=node_key)))
-    return tuple(groups)
+    def extend(path: tuple[int, ...], on: int) -> Iterator[tuple[int, ...]]:
+        for nb in _bits(adj[path[-1]] & reach & ~on):
+            yield from [path + (goal,)] if nb == goal else extend(path + (nb,), on | 1 << nb)
 
-
-def _simple_paths(adj: dict[str, set[str]], start: str, goal: str) -> Iterator[tuple[str, ...]]:
-    """All simple paths start..goal, in node_key-lexicographic order."""
-    reach = _reach(adj, goal, adj)
-
-    def extend(path: tuple[str, ...]) -> Iterator[tuple[str, ...]]:
-        for nb in sorted(adj[path[-1]] & reach - set(path), key=node_key):
-            yield from [path + (goal,)] if nb == goal else extend(path + (nb,))
-
-    return extend((start,)) if start in reach else iter(())
+    return extend((start,), 1 << start) if reach >> start & 1 else iter(())
 
 
 def internal_qualified_edge_candidates(inst: CdsInstance) -> list[tuple[Edge, tuple[str, ...]]]:
@@ -295,8 +278,12 @@ def internal_qualified_edge_candidates(inst: CdsInstance) -> list[tuple[Edge, tu
     itself an unqualified path whose node set is contained in P''s, so any
     cover of P' covers it.
     """
-    uadj = inst.unqualified_adjacency()
-    return [(e, path) for e in inst.qualified_node_edges() for path in _simple_paths(uadj, *e)]
+    uadj, names = neighbour_masks(inst, inst.unqualified), inst.nodes()
+    return [
+        (edge_nodes((x, y)), tuple(names[i] for i in path))
+        for x, y in sorted(inst.qualified)
+        for path in _simple_paths(uadj, x - 1, inst.a_count + y - 1)
+    ]
 
 
 # -- connected edge sets ----------------------------------------------------------
@@ -323,37 +310,38 @@ class CoverWitness:
     def violations(self, inst: CdsInstance) -> list[str]:
         """Re-check every invariant independently; empty list means valid."""
         problems = _pair_problems(inst, self.edge, self.path)
-        if not all(_is_edge(inst.qualified, *e) for e in self.cover):
+        if not set(map(edge_nodes, inst.qualified)).issuperset(self.cover):
             problems.append("cover contains non-qualified edges")
         if self.edge not in self.cover:
             problems.append("cover does not contain the internal edge")
-        covered = {n for e in self.cover for n in e}
+        covered = {n: i for i, n in enumerate({n for e in self.cover for n in e})}
         missing = [n for n in self.path if n not in covered]
         if missing:
             problems.append(f"cover misses path nodes {missing}")
-        if self.cover and _reach(_adjacency(covered, self.cover), min(covered), covered) != covered:
+        adj = [0] * len(covered)  # the cover's own graph, on the nodes it covers
+        for a, b in self.cover:
+            adj[covered[a]] |= 1 << covered[b]
+            adj[covered[b]] |= 1 << covered[a]
+        if len(components(adj, (1 << len(adj)) - 1)) > 1:
             problems.append("cover is not connected")
         return problems
-
-
-def _is_edge(pairs: frozenset[tuple[int, int]], u: str, v: str) -> bool:
-    """Whether u-v, A-node first, is one of the (x, y) ``pairs``."""
-    return u[0] == "A" and v[0] == "B" and (int(u[1:]), int(v[1:])) in pairs
 
 
 def _pair_problems(inst: CdsInstance, e: Edge, path: Sequence[str]) -> list[str]:
     """What is wrong with (e, P): e must be a qualified edge, P a path of
     distinct nodes through both of e's endpoints, and each step of P an
-    unqualified edge. An empty list means the pair is valid."""
+    unqualified edge. An empty list means the pair is valid. Edges are
+    matched by their canonical names, so "A01" or "Bx" is no node."""
     problems = []
-    if not _is_edge(inst.qualified, *e):
+    if e not in set(map(edge_nodes, inst.qualified)):
         problems.append(f"edge {e} is not a qualified edge of {inst.name!r}")
     if e[0] not in path or e[1] not in path:
         problems.append("edge endpoints not on the path")
     if len(set(path)) != len(path):
         problems.append("path nodes are not distinct")
+    unqualified = set(map(edge_nodes, inst.unqualified))
     for a, b in zip(path, path[1:]):
-        if not _is_edge(inst.unqualified, *sorted((a, b))):
+        if (a, b) not in unqualified and (b, a) not in unqualified:
             problems.append(f"path step {a}-{b} is not an unqualified edge")
     return problems
 
@@ -476,10 +464,14 @@ def rho(inst: CdsInstance) -> RhoResult:
     """
     uadj, qadj = neighbour_masks(inst, inst.unqualified), neighbour_masks(inst, inst.qualified)
     ends, incident = _edge_masks(inst)
+    component_of = [0] * len(qadj)  # the qualified component of each node on a qualified edge
+    for comp in components(qadj, sum(1 << i for i, m in enumerate(qadj) if m)):
+        for i in _bits(comp):
+            component_of[i] = comp
     searches = []
     for e, both in enumerate(ends):
         u, v = (both & -both).bit_length() - 1, both.bit_length() - 1
-        if reach_mask(uadj, 1 << u, reach_mask(qadj, 1 << u, (1 << len(uadj)) - 1)) >> v & 1:
+        if reach_mask(uadj, 1 << u, component_of[u]) >> v & 1:
             searches.append((e, u, v, _connected_edge_sets(ends, incident, uadj, e)))
     if not searches:
         return RhoResult(None, None)

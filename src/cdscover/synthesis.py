@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import FieldMatrix, PrimeField, next_prime
-from .graph import CdsInstance, QualifiedComponent, node_key, qualified_components, rho, unqualified_classes
+from .graph import CdsInstance, QualifiedComponent, components, neighbour_masks, node_key, qualified_components, rho
 from .linalg import cauchy_matrix
 from .scheme import LinearScheme
 
@@ -90,15 +90,15 @@ def plan_component(
     for node, window in windows.items():
         for j in window:
             holders.setdefault(j, []).append(node)
-    uadj = inst.unqualified_adjacency()
+    uadj, index = neighbour_masks(inst, inst.unqualified), {n: i for i, n in enumerate(inst.nodes())}
     coefficients: dict[int, dict[str, int]] = {}
     payloads: dict[int, tuple[str, int] | None] = {}
     for j, nodes in holders.items():
         if component.kind == "path" and j == 0:
             coefficients[0], payloads[0] = {}, None
             continue
-        groups = unqualified_classes(nodes, uadj)
-        coefficients[j] = {node: k for k, group in enumerate(groups, start=1) for node in group}
+        classes = components(uadj, sum(1 << index[node] for node in nodes))
+        coefficients[j] = {node: k for k, c in enumerate(classes, start=1) for node in nodes if c >> index[node] & 1}
         if component.kind == "cycle" and j <= rho_value - 1:
             payloads[j] = ("l", j)
         else:

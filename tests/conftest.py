@@ -14,6 +14,16 @@ def catalog_instances():
     return {name: cc.catalog.builtin_instance(name) for name in cc.catalog.INSTANCE_NAMES}
 
 
+def set_adjacency(inst: cc.CdsInstance, pairs) -> dict[str, set[str]]:
+    """Each node's neighbours along the (x, y) ``pairs``, as a set of node
+    names: the set form of ``cdscover.graph.neighbour_masks``."""
+    adj: dict[str, set[str]] = {n: set() for n in inst.nodes()}
+    for a, b in map(cc.graph.edge_nodes, pairs):
+        adj[a].add(b)
+        adj[b].add(a)
+    return adj
+
+
 def random_corpus(count: int, start_seed: int = 0, max_side: int = 7):
     """Deterministic stream of synthesizable random path/cycle instances.
 

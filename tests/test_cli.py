@@ -8,7 +8,7 @@ import pytest
 
 import cdscover as cc
 from cdscover.cli import build_parser, main
-from conftest import tiny_oracle_instances
+from conftest import set_adjacency, tiny_oracle_instances
 
 
 def _write_fixture(tmp_path, kind, name):
@@ -417,7 +417,7 @@ def _cycle_arc_rho(inst):
     edge sets of a cycle are its arcs and the whole cycle."""
     (comp,) = cc.qualified_components(inst)
     t, n = comp.traversal, len(comp.traversal)
-    uadj = inst.unqualified_adjacency()
+    uadj = set_adjacency(inst, inst.unqualified)
     for k in range(1, n + 1):
         for i in range(n):
             nodes = {t[(i + j) % n] for j in range(min(k + 1, n))}
@@ -431,6 +431,15 @@ def _cycle_arc_rho(inst):
                 if v in seen:
                     return k
     return None
+
+
+def test_rho_on_a_thousand_node_random_cycle():
+    # one qualified component of 1000 nodes, so every node's component label
+    # in rho is a 1000-bit mask
+    inst = cc.random_instance(1, 500, 500, "cycle", 0.05)
+    r = cc.rho(inst)
+    assert r.value == _cycle_arc_rho(inst)
+    assert r.witness.violations(inst) == []
 
 
 def test_large_cycle_rho_bound_classify(tmp_path, capsys):

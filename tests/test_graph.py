@@ -12,10 +12,11 @@ from cdscover.graph import (
     CoverWitness,
     InstanceError,
     _augment,
-    _reach,
+    components,
     edge_nodes,
     internal_qualified_edge_candidates,
     min_connected_edge_cover,
+    neighbour_masks,
     node_key,
     parse_instance,
     qualified_components,
@@ -23,10 +24,9 @@ from cdscover.graph import (
     reach_mask,
     rho,
     serialize_instance,
-    unqualified_classes,
 )
 
-from conftest import random_corpus
+from conftest import random_corpus, set_adjacency
 
 
 def test_parse_minimal_instance():
@@ -94,7 +94,7 @@ def test_components_fig2_other(catalog_instances):
     big = next(c for c in comps if "A4" in c.nodes)
     assert big.kind == "other"
     # A4 has qualified degree 3
-    adj = catalog_instances["fig2"].qualified_adjacency()
+    adj = set_adjacency(catalog_instances["fig2"], catalog_instances["fig2"].qualified)
     assert len(adj["A4"]) == 3
 
 
@@ -403,6 +403,19 @@ def test_cover_search_matches_exhaustive_oracle_on_random_instances(inst):
     _assert_cover_search_matches_oracle(inst)
 
 
+def _reach(adj, start, within):
+    """Reference: the nodes joined to ``start`` by edges of the dict-of-sets
+    ``adj`` whose ends lie in ``within`` (``start`` included)."""
+    seen = {start}
+    stack = [start]
+    while stack:
+        for nb in adj[stack.pop()]:
+            if nb in within and nb not in seen:
+                seen.add(nb)
+                stack.append(nb)
+    return seen
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.data())
 def test_reach_mask_matches_set_reach(data):
@@ -425,8 +438,25 @@ def _by_least_node(groups):
     return sorted(groups, key=lambda g: node_key(g[0]))
 
 
+@st.composite
+def large_instances(draw):
+    """Instances of 77 or 80 nodes, so that node masks run past one machine
+    word: a 40x40 random cycle, or a path, a cycle and a chorded path side
+    by side, with or without unqualified edges across them."""
+    seed = draw(st.integers(0, 10_000))
+    if draw(st.booleans()):
+        return random_instance(seed, 40, 40, "cycle", 0.03)
+    third = random_instance(seed + 2, 14, 14, "path", 0.05)
+    chords = set(draw(st.lists(st.tuples(st.integers(1, 14), st.integers(1, 14)), max_size=3))) - third.qualified
+    third = CdsInstance(third.name, 14, 14, third.qualified | chords, third.unqualified - chords)
+    cross = draw(st.sampled_from((0.0, 0.02)))
+    first = random_instance(seed, 13, 12, "path", 0.05)
+    both = cc.disjoint_union(first, random_instance(seed + 1, 12, 12, "cycle", 0.05), cross, seed)
+    return cc.disjoint_union(both, third, cross, seed + 1)
+
+
 @settings(max_examples=150, deadline=None)
-@given(small_instances())
+@given(st.one_of(small_instances(), large_instances()))
 def test_components_and_classes_match_networkx(inst):
     nx = pytest.importorskip("networkx")
     qgraph, ugraph = nx.Graph(), nx.Graph()
@@ -436,10 +466,11 @@ def test_components_and_classes_match_networkx(inst):
     ugraph.add_edges_from(map(edge_nodes, inst.unqualified))
     comps = qualified_components(inst)
     assert [c.nodes for c in comps] == _by_least_node(nx.connected_components(qgraph))
-    uadj = inst.unqualified_adjacency()
+    names, uadj = inst.nodes(), neighbour_masks(inst, inst.unqualified)
     for c in comps:
         want = _by_least_node(nx.connected_components(ugraph.subgraph(c.nodes)))
-        assert unqualified_classes(c.nodes, uadj) == tuple(want)
+        classes = components(uadj, sum(1 << names.index(n) for n in c.nodes))
+        assert [tuple(n for i, n in enumerate(names) if m >> i & 1) for m in classes] == want
         degrees = [qgraph.degree(n) for n in c.nodes]
         if max(degrees) > 2:
             assert (c.kind, c.traversal) == ("other", None)
@@ -575,3 +606,33 @@ def test_witness_violations_detect_problems(catalog_instances):
     w = rho(fig2).witness
     bad = CoverWitness(edge=w.edge, path=w.path, cover=frozenset(list(w.cover)[:3]))
     assert bad.violations(fig2)
+
+
+def _respell(witness, old, new):
+    def name(n):
+        return new if n == old else n
+
+    cover = frozenset(tuple(map(name, e)) for e in witness.cover)
+    return CoverWitness(tuple(map(name, witness.edge)), tuple(map(name, witness.path)), cover)
+
+
+def test_witness_violations_list_a_path_node_that_is_no_node(catalog_instances):
+    fig2 = catalog_instances["fig2"]
+    w = rho(fig2).witness
+    problems = CoverWitness(w.edge, ("A1", "Bx", "B1"), w.cover).violations(fig2)
+    assert "path step A1-Bx is not an unqualified edge" in problems
+    assert "cover misses path nodes ['Bx']" in problems
+
+
+def test_witness_violations_match_canonical_names(catalog_instances):
+    # "A01" is no node of fig2, though int("01") == 1
+    fig2 = catalog_instances["fig2"]
+    assert rho(fig2).witness.edge[0] == "A1"
+    problems = _respell(rho(fig2).witness, "A1", "A01").violations(fig2)
+    assert "edge ('A01', 'B1') is not a qualified edge of 'fig2'" in problems
+    assert "cover contains non-qualified edges" in problems
+
+
+def test_min_connected_edge_cover_refuses_a_path_node_that_is_no_node(catalog_instances):
+    with pytest.raises(InstanceError, match="path step A1-Bx is not an unqualified edge"):
+        min_connected_edge_cover(catalog_instances["fig2"], ("A1", "B1"), ("A1", "Bx", "B1"))

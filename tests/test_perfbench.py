@@ -67,6 +67,14 @@ def test_analyze_replay_digest_is_pinned():
     assert _replay("analyze") == f"analyze seed 1: 206 ops {digest}\n"
 
 
+def test_audit_replay_digest_is_pinned():
+    # byte-identical verify --entropic and simulate outputs on the
+    # benchmark's seed-1 audit operations (about 1.4 s); the audit corpus is
+    # built by synth and by the search, so this digest also moves with them
+    digest = "22f20ce88a66a8c6b876dfc4a455e1544383be8d82d5cc658d454074fd875f75"
+    assert _replay("audit") == f"audit seed 1: 105 ops {digest}\n"
+
+
 def test_replay_digest_prints_one_line_per_workload_and_seed(monkeypatch, capsys):
     module = _load("replay_digest", ROOT / "scripts" / "replay_digest.py")
     monkeypatch.setattr(module, "digest", lambda workload, seed: (f"{workload}-{seed}", seed))
