@@ -22,7 +22,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 import cdscover as cc
 from cdscover.fields import FieldMatrix, PrimeField
-from cdscover.graph import CdsInstance, a_node, b_node, components, neighbour_masks
+from cdscover.graph import CdsInstance, a_node, b_node, components, neighbour_masks, node_key
 from cdscover.linalg import cauchy_matrix, rank_rref, residue_rank, rowspace_intersection
 from cdscover.scheme import LinearScheme, serialize_scheme
 
@@ -46,6 +46,15 @@ def build_fig5_synth() -> LinearScheme:
 
 
 # -- fig2: rate 2/5 over F_3, reproducing the published fragments ----------------
+
+
+def precoder_scheme(field: PrimeField, L: int, L_Z: int, N: int, precoders: dict, name: str = "") -> LinearScheme:
+    """The scheme whose node v has the ``FieldMatrix`` pair ``precoders[v]``
+    = (F_v, H_v), its nodes put in node_key order."""
+    nodes = tuple(sorted(precoders, key=node_key))
+    f = np.array([precoders[v][0].array for v in nodes], dtype=np.int64).reshape(len(nodes), N, L)
+    h = np.array([precoders[v][1].array for v in nodes], dtype=np.int64).reshape(len(nodes), N, L_Z)
+    return LinearScheme(field, L, L_Z, N, nodes, f, h, name)
 
 
 def _rows(field: PrimeField, rows: list[list[int]]) -> FieldMatrix:
@@ -126,7 +135,7 @@ def solve_scheme_for_noise(
     else:
         return None
     precoders = {n: (FieldMatrix(rows[block[n]] if n in touched else np.zeros((N, L)), field), h_map[n]) for n in nodes}
-    return LinearScheme(field=field, L=L, L_Z=h_map[nodes[0]].cols, N=N, precoders=precoders)
+    return precoder_scheme(field, L, h_map[nodes[0]].cols, N, precoders)
 
 
 def build_fig2_scheme() -> LinearScheme:
@@ -176,7 +185,8 @@ def build_fig2_scheme() -> LinearScheme:
 
 def _check_fig2_fragments(inst, scheme) -> None:
     field = scheme.field
-    inter = rowspace_intersection(scheme.h_of("A3"), scheme.h_of("B3"))
+    h = {node: FieldMatrix(scheme.h_of(node), field) for node in ("A3", "B3", "B2")}
+    inter = rowspace_intersection(h["A3"], h["B3"])
     frag = _rows(
         field,
         [
@@ -187,14 +197,14 @@ def _check_fig2_fragments(inst, scheme) -> None:
         ],
     )
     assert inter.basis == rank_rref(frag).rref.take_rows(range(4)), "A3/B3 overlap is not span(z1+z2, z4, z5, z8)"
-    inter2 = rowspace_intersection(scheme.h_of("A3"), scheme.h_of("B2"))
+    inter2 = rowspace_intersection(h["A3"], h["B2"])
     frag2 = _rows(field, [[1, 1, 0, 0, 0, 0, 0, 0, 0], [0, 0, 0, 0, 1, 0, 0, 0, 0]])
     assert inter2.basis == rank_rref(frag2).rref.take_rows(range(2)), "A3/B2 overlap is not span(z1+z2, z5)"
-    assert scheme.f_of("A3").to_lists()[0] == [1, 1, 0, 0]
-    assert scheme.f_of("A3").to_lists()[2] == [0, 0, 1, 1]
-    assert scheme.f_of("B2").to_lists()[0] == [1, 1, 0, 0]
-    assert scheme.f_of("B2").to_lists()[1] == [0, 0, 1, 1]
-    diff = (scheme.f_of("A3") - scheme.f_of("B3")).to_lists()
+    assert scheme.f_of("A3").tolist()[0] == [1, 1, 0, 0]
+    assert scheme.f_of("A3").tolist()[2] == [0, 0, 1, 1]
+    assert scheme.f_of("B2").tolist()[0] == [1, 1, 0, 0]
+    assert scheme.f_of("B2").tolist()[1] == [0, 0, 1, 1]
+    diff = np.mod(scheme.f_of("A3") - scheme.f_of("B3"), field.p).tolist()
     assert diff[0] == [2, 1, 0, 0] and diff[1] == [0, 0, 0, 1]
     assert diff[2] == [0, 0, 1, 1] and diff[3] == [1, 0, 0, 0]
 
@@ -303,9 +313,7 @@ def build_fig8_scheme() -> LinearScheme:
             h[r, t] = 1
             f[r] = np.mod(coeff[t][node] * payload_vec[t], field.p)
         precoders[node] = (FieldMatrix(f, field), FieldMatrix(h, field))
-    scheme = LinearScheme(
-        field=field, L=L, L_Z=n_atoms, N=N, precoders=precoders, name="fig8-rate-7-18"
-    )
+    scheme = precoder_scheme(field, L, n_atoms, N, precoders, "fig8-rate-7-18")
     report = cc.verify_linear(inst, scheme)
     assert report.overall, report.failures()
     from fractions import Fraction
@@ -320,19 +328,10 @@ def build_fig8_scheme() -> LinearScheme:
 
 
 def _perturb(scheme: LinearScheme, node: str, row: int, delta: list[int], name: str) -> LinearScheme:
-    f, h = scheme.precoders[node]
-    arr = f.array.copy()
-    arr[row] = np.mod(arr[row] + np.asarray(delta, dtype=np.int64), scheme.field.p)
-    precoders = dict(scheme.precoders)
-    precoders[node] = (FieldMatrix(arr, scheme.field), h)
-    return LinearScheme(
-        field=scheme.field,
-        L=scheme.L,
-        L_Z=scheme.L_Z,
-        N=scheme.N,
-        precoders=precoders,
-        name=name,
-    )
+    f = scheme.F.copy()
+    i = scheme.nodes.index(node)
+    f[i, row] = np.mod(f[i, row] + np.asarray(delta, dtype=np.int64), scheme.field.p)
+    return LinearScheme(scheme.field, scheme.L, scheme.L_Z, scheme.N, scheme.nodes, f, scheme.H, name)
 
 
 def build_broken(fig2_scheme: LinearScheme) -> tuple[LinearScheme, LinearScheme]:
@@ -348,7 +347,7 @@ def build_broken(fig2_scheme: LinearScheme) -> tuple[LinearScheme, LinearScheme]
     # garbled: make A1's z4 slot equal B1's so the qualified edge (1,1)
     # loses a decoding dimension
     delta = np.mod(
-        fig2_scheme.f_of("B1").array[1] - fig2_scheme.f_of("A1").array[0], fig2_scheme.field.p
+        fig2_scheme.f_of("B1")[1] - fig2_scheme.f_of("A1")[0], fig2_scheme.field.p
     )
     garbled = _perturb(fig2_scheme, "A1", 0, delta.tolist(), "broken-garbled")
     rep = cc.verify_linear(inst, garbled)

@@ -19,7 +19,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .fields import FieldMatrix, PrimeField
+from .fields import PrimeField
 from .graph import CdsInstance, CoverWitness, a_node, b_node, components, neighbour_masks, qualified_components, rho
 from .linalg import residue_rank
 from .scheme import LinearScheme, check_field_size, verify_linear
@@ -137,39 +137,21 @@ def classify_linear_capacity(inst: CdsInstance) -> Verdict:
     bound, witness = linear_converse_bound(inst)
     comps = qualified_components(inst)
     if witness is not None and all(c.kind in ("path", "cycle") for c in comps):
-        return Verdict(
-            kind="exact",
-            value=bound,
-            reason="every qualified component is a path or cycle, so the converse bound is achievable",
-        )
+        reason = "every qualified component is a path or cycle, so the converse bound is achievable"
+        return Verdict("exact", bound, reason)
     for entry in catalog.known_results():
         if not color_isomorphic(inst, catalog.builtin_instance(entry.name)):
             continue
         if entry.exact_capacity is not None:
-            return Verdict(
-                kind="exact",
-                value=entry.exact_capacity,
-                reason=f"isomorphic to catalog instance {entry.name!r} with a known capacity proof",
-            )
+            reason = f"isomorphic to catalog instance {entry.name!r} with a known capacity proof"
+            return Verdict("exact", entry.exact_capacity, reason)
         best = entry.best_scheme_rate()
         if best is not None and best == bound:
-            return Verdict(
-                kind="exact",
-                value=bound,
-                reason=f"a catalog scheme for {entry.name!r} achieves the converse bound",
-            )
+            return Verdict("exact", bound, f"a catalog scheme for {entry.name!r} achieves the converse bound")
         if entry.open or (best is not None and best < bound):
-            return Verdict(
-                kind="bounded-above",
-                value=bound,
-                reason=f"isomorphic to catalog instance {entry.name!r} whose linear capacity is open",
-                is_open=True,
-            )
-    return Verdict(
-        kind="bounded-above",
-        value=bound,
-        reason="no matching achievability result; covering bound only",
-    )
+            reason = f"isomorphic to catalog instance {entry.name!r} whose linear capacity is open"
+            return Verdict("bounded-above", bound, reason, is_open=True)
+    return Verdict("bounded-above", bound, "no matching achievability result; covering bound only")
 
 
 # -- randomized scheme search --------------------------------------------------------
@@ -322,11 +304,7 @@ def _solve_alignment(
             break
     else:
         return None
-    rows = coeffs[cls]
-    precoders = {}
-    for i, n in enumerate(nodes):
-        h = np.zeros((N, L_Z), dtype=np.int64)
-        h[np.arange(N), cols[i]] = 1
-        precoders[n] = (FieldMatrix(rows[i * N : i * N + N], field), FieldMatrix(h, field))
+    h = np.zeros((len(nodes), N, L_Z), dtype=np.int64)
+    h[np.arange(len(nodes))[:, None], np.arange(N), cols] = 1
     name = f"search-{inst.name}" if inst.name else "search"
-    return LinearScheme(field=field, L=L, L_Z=L_Z, N=N, precoders=precoders, name=name)
+    return LinearScheme(field, L, L_Z, N, tuple(nodes), coeffs[cls].reshape(len(nodes), N, L), h, name)

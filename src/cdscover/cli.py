@@ -10,9 +10,10 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
+import math
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from . import catalog
@@ -57,11 +58,45 @@ def _load_scheme(arg: str) -> LinearScheme:
     raise SchemeError(f"no such file or catalog scheme: {arg}")
 
 
+_SCALAR_JSON = {  # each JSON scalar type's text, as json.dumps writes it
+    str: encode_basestring_ascii,
+    int: int.__repr__,
+    float: lambda x: repr(x) if math.isfinite(x) else {"nan": "NaN", "inf": "Infinity"}.get(repr(x), "-Infinity"),
+    bool: ("false", "true").__getitem__,
+    type(None): {None: "null"}.__getitem__,
+}
+
+
+@functools.lru_cache(maxsize=64)
+def _dict_layout(keys: tuple, indent: str) -> str:
+    """A dict with these keys as ``json.dumps(indent=2)`` lays it out at
+    ``indent``, with a %s field for each value."""
+    items = [encode_basestring_ascii(k).replace("%", "%%") + ": %s" for k in keys]
+    return "{" + indent + "  " + ("," + indent + "  ").join(items) + indent + "}"
+
+
+def _json(value, indent: str = "\n") -> str:
+    """``json.dumps(value, indent=2)`` for the CLI's payloads: dicts with str
+    keys, lists, tuples and JSON scalars. The standard encoder's indented
+    mode is pure Python; here each dict is one %-format of a layout cached
+    per key tuple, so all records of a verify or oracle list share one."""
+    kind = type(value)
+    if kind in _SCALAR_JSON:
+        return _SCALAR_JSON[kind](value)
+    if kind not in (dict, list, tuple):
+        raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
+    inner = indent + "  "
+    items = value.values() if kind is dict else value
+    cells = [_SCALAR_JSON[t](v) if (t := type(v)) in _SCALAR_JSON else _json(v, inner) for v in items]
+    if not cells:
+        return "{}" if kind is dict else "[]"
+    if kind is dict:
+        return _dict_layout(tuple(value), indent) % tuple(cells)
+    return "[" + inner + ("," + inner).join(cells) + indent + "]"
+
+
 def _emit(args, payload: dict, text: str) -> None:
-    if args.json:
-        print(json.dumps(payload, indent=2))
-    else:
-        print(text)
+    print(_json(payload) if args.json else text)
 
 
 def _witness_json(w) -> dict | None:
@@ -95,11 +130,7 @@ def cmd_rho(args) -> int:
 def cmd_bound(args) -> int:
     inst = _load_instance(args.instance)
     bound, witness = linear_converse_bound(inst)
-    _emit(
-        args,
-        {"bound": _frac(bound), "witness": _witness_json(witness)},
-        _frac(bound),
-    )
+    _emit(args, {"bound": _frac(bound), "witness": _witness_json(witness)}, _frac(bound))
     return OK
 
 
@@ -186,15 +217,7 @@ def cmd_verify(args) -> int:
 
 def cmd_search(args) -> int:
     inst = _load_instance(args.instance)
-    scheme = random_scheme_search(
-        inst,
-        p=args.p,
-        L=args.L,
-        N=args.N,
-        L_Z=args.Lz,
-        seed=args.seed,
-        budget=args.budget,
-    )
+    scheme = random_scheme_search(inst, args.p, args.L, args.N, args.Lz, seed=args.seed, budget=args.budget)
     if scheme is None:
         _emit(args, {"found": False}, "no scheme found within budget")
         return FAIL

@@ -18,7 +18,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .fields import FieldError, FieldMatrix, PrimeField
+from .fields import FieldError, PrimeField
 from .graph import CdsInstance, a_node, b_node, node_key
 from .linalg import batch_rref
 
@@ -27,41 +27,60 @@ class SchemeError(ValueError):
     """Malformed scheme data or scheme/instance shape mismatch."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LinearScheme:
-    """Per-node precoders plus the global parameters (p, L, L_Z, N)."""
+    """The global parameters (p, L, L_Z, N) and every node's precoders as int64
+    stacks of canonical residues: ``F[i]`` (N x L) and ``H[i]`` (N x L_Z) are
+    those of ``nodes[i]``, and the nodes run in ``node_key`` order. The stacks
+    are kept as read-only views."""
 
     field: PrimeField
     L: int
     L_Z: int
     N: int
-    precoders: dict[str, tuple[FieldMatrix, FieldMatrix]]  # node -> (F, H)
+    nodes: tuple[str, ...]
+    F: np.ndarray  # n x N x L
+    H: np.ndarray  # n x N x L_Z
     name: str = ""
 
-    def f_of(self, node: str) -> FieldMatrix:
-        return self.precoders[node][0]
+    def __post_init__(self) -> None:
+        for key in ("F", "H"):
+            stack = np.asarray(getattr(self, key), dtype=np.int64).view()
+            stack.flags.writeable = False
+            object.__setattr__(self, key, stack)
 
-    def h_of(self, node: str) -> FieldMatrix:
-        return self.precoders[node][1]
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, LinearScheme):
+            return NotImplemented
+        return (self.field, self.L, self.L_Z, self.N, self.nodes, self.name) == (
+            other.field, other.L, other.L_Z, other.N, other.nodes, other.name
+        ) and np.array_equal(self.F, other.F) and np.array_equal(self.H, other.H)
+
+    def f_of(self, node: str) -> np.ndarray:
+        return self.F[self.nodes.index(node)]
+
+    def h_of(self, node: str) -> np.ndarray:
+        return self.H[self.nodes.index(node)]
 
     def check_shapes(self) -> None:
-        for node, (f, h) in self.precoders.items():
-            if f.shape != (self.N, self.L):
-                raise SchemeError(f"F_{node} has shape {f.shape}, expected {(self.N, self.L)}")
-            if h.shape != (self.N, self.L_Z):
-                raise SchemeError(f"H_{node} has shape {h.shape}, expected {(self.N, self.L_Z)}")
-            if f.field != self.field or h.field != self.field:
-                raise SchemeError(f"precoders of {node} are over the wrong field")
+        for key, stack, cols in (("F", self.F, self.L), ("H", self.H, self.L_Z)):
+            if stack.shape != (len(self.nodes), self.N, cols):
+                raise SchemeError(f"{key} has shape {stack.shape}, expected {(len(self.nodes), self.N, cols)}")
 
     def check_for_instance(self, inst: CdsInstance) -> None:
+        """Shapes, and one precoder pair per node of ``inst`` in its node order."""
         self.check_shapes()
         nodes = inst.nodes()
-        missing = [n for n in nodes if n not in self.precoders]
+        if self.nodes == tuple(nodes):
+            return
+        have = set(self.nodes)
+        missing = [n for n in nodes if n not in have]
         if missing:
             raise SchemeError(f"scheme lacks precoders for {missing}")
-        if len(self.precoders) > len(nodes):
-            unknown = sorted(set(self.precoders) - set(nodes))
+        unknown = sorted(have - set(nodes))
+        if unknown:
             raise SchemeError(f"scheme has precoders for {unknown}, which are not nodes of {inst.name!r}")
+        raise SchemeError(f"scheme nodes {list(self.nodes)} are not in node order")
 
 
 def check_field_size(p: int, L: int, L_Z: int, N: int) -> None:
@@ -86,7 +105,7 @@ def rate(scheme: LinearScheme) -> Fraction:
 # -- scheme files ---------------------------------------------------------------
 
 
-def _matrix_entries(obj, what: str, p: int) -> list[list[int]]:
+def _matrix(obj, what: str, p: int, cols: int) -> np.ndarray:
     if not isinstance(obj, list) or not all(isinstance(r, list) for r in obj):
         raise SchemeError(f"{what} must be a list of rows")
     if len({len(r) for r in obj}) > 1:
@@ -95,7 +114,43 @@ def _matrix_entries(obj, what: str, p: int) -> list[list[int]]:
         for v in r:
             if not isinstance(v, int) or isinstance(v, bool) or not 0 <= v < p:
                 raise SchemeError(f"{what} entry {v!r} is not an integer in [0, {p})")
-    return obj
+    return np.array(obj, dtype=np.int64) if obj else np.zeros((0, cols), dtype=np.int64)
+
+
+def _scanned_stacks(nodes: dict, p: int, N: int, L: int, L_Z: int) -> list[np.ndarray]:
+    """The F and H stacks entry by entry, refusing the first fault in file
+    order: a node's entry, then its F and H entries, then the shapes."""
+    pairs = []
+    for node, entry in nodes.items():
+        if not isinstance(entry, dict) or "F" not in entry or "H" not in entry:
+            raise SchemeError(f"node {node} must have 'F' and 'H' matrices")
+        pairs.append((_matrix(entry["F"], f"F_{node}", p, L), _matrix(entry["H"], f"H_{node}", p, L_Z)))
+    for node, (f, h) in zip(nodes, pairs):
+        if f.shape != (N, L):
+            raise SchemeError(f"F_{node} has shape {f.shape}, expected {(N, L)}")
+        if h.shape != (N, L_Z):
+            raise SchemeError(f"H_{node} has shape {h.shape}, expected {(N, L_Z)}")
+    return [np.array([m[k] for m in pairs], dtype=np.int64).reshape(len(pairs), N, c) for k, c in ((0, L), (1, L_Z))]
+
+
+def _bulk_stacks(text: str, nodes: dict, p: int, N: int, L: int, L_Z: int) -> list[np.ndarray] | None:
+    """The F and H stacks, each from one ``np.array`` call and checked whole
+    (shape, int64 dtype, entries in [0, p)); None leaves them to
+    ``_scanned_stacks``. np.array gives floats, strings, None and ints past
+    int64 another dtype, and ragged or nested rows another shape or a
+    ValueError, but reads true as 1 in a row of ints: a text holding "true"
+    or "false" anywhere is scanned."""
+    if "true" in text or "false" in text:
+        return None
+    try:
+        stacks = [np.array([entry[key] for entry in nodes.values()]) for key in ("F", "H")]
+    except (TypeError, KeyError, ValueError, OverflowError):
+        return None
+    for stack, cols in zip(stacks, (L, L_Z)):
+        bad = stack.size and (stack.dtype != np.int64 or stack.min() < 0 or stack.max() >= p)
+        if bad or stack.shape != (len(nodes), N, cols):
+            return None
+    return [stack.astype(np.int64, copy=False) for stack in stacks]  # an empty stack reads as float64
 
 
 def parse_scheme(text: str) -> LinearScheme:
@@ -125,42 +180,43 @@ def parse_scheme(text: str) -> LinearScheme:
     nodes = obj.get("nodes")
     if not isinstance(nodes, dict):
         raise SchemeError("field 'nodes' must be an object mapping node ids to precoders")
-    precoders = {}
-    for node, entry in nodes.items():
-        if not isinstance(entry, dict) or "F" not in entry or "H" not in entry:
-            raise SchemeError(f"node {node} must have 'F' and 'H' matrices")
-        f = FieldMatrix.from_rows(_matrix_entries(entry["F"], f"F_{node}", fld.p), fld, cols=L)
-        h = FieldMatrix.from_rows(_matrix_entries(entry["H"], f"H_{node}", fld.p), fld, cols=L_Z)
-        precoders[node] = (f, h)
-    scheme = LinearScheme(field=fld, L=L, L_Z=L_Z, N=N, precoders=precoders, name=name)
-    scheme.check_shapes()
-    return scheme
+    f, h = _bulk_stacks(text, nodes, fld.p, N, L, L_Z) or _scanned_stacks(nodes, fld.p, N, L, L_Z)
+    names = list(nodes)
+    try:
+        order = sorted(range(len(names)), key=lambda i: node_key(names[i]))
+    except (ValueError, IndexError):  # an id that is no node's, which no instance accepts: keep the file's order
+        order = range(len(names))
+    if any(i != k for k, i in enumerate(order)):
+        f, h, names = f[order], h[order], [names[i] for i in order]
+    return LinearScheme(fld, L, L_Z, N, tuple(names), f, h, name)
 
 
-def _matrix_json(m: FieldMatrix) -> str:
-    """A precoder as ``json.dumps(indent=2)`` lays it out at depth 3 of a scheme file."""
-    rows, cols = m.shape
-    row = "[\n          " + ",\n          ".join(["{}"] * cols) + "\n        ]" if cols else "[]"
-    layout = "[\n        " + ",\n        ".join([row] * rows) + "\n      ]" if rows else "[]"
-    return layout.format(*m.array.ravel().tolist())
+@functools.lru_cache(maxsize=16)
+def _node_layout(N: int, L: int, L_Z: int) -> str:
+    """A node's entry of a scheme file after its id, as ``json.dumps(indent=2)``
+    lays it out, with a %s field for each entry of F and of H."""
+
+    def matrix(cols: int) -> str:
+        row = "[\n          " + ",\n          ".join(["%s"] * cols) + "\n        ]" if cols else "[]"
+        return "[\n        " + ",\n        ".join([row] * N) + "\n      ]" if N else "[]"
+
+    return ': {\n      "F": ' + matrix(L) + ',\n      "H": ' + matrix(L_Z) + "\n    }"
 
 
 def serialize_scheme(scheme: LinearScheme) -> str:
-    """The scheme file: the bytes of ``json.dumps(obj, indent=2) + "\\n"``.
+    """The scheme file: the bytes of ``json.dumps(obj, indent=2) + "\\n"``,
+    nodes in the scheme's order.
 
-    The file has a fixed shape of ints and int rows, so it is written
-    directly; the standard encoder's indented mode is pure Python and took
-    longer than synthesizing the scheme.
+    The file has a fixed shape of ints and int rows, so it is written with
+    one %-format over the stacked entries; the standard encoder's indented
+    mode is pure Python and took longer than synthesizing the scheme.
     """
-    nodes = [
-        f'{json.dumps(node)}: {{\n      "F": {_matrix_json(f)},\n      "H": {_matrix_json(h)}\n    }}'
-        for node, (f, h) in sorted(scheme.precoders.items(), key=lambda kv: node_key(kv[0]))
-    ]
-    body = "{\n    " + ",\n    ".join(nodes) + "\n  }" if nodes else "{}"
-    return (
-        f'{{\n  "name": {json.dumps(scheme.name)},\n  "p": {scheme.field.p},\n  "L": {scheme.L},\n'
-        f'  "Lz": {scheme.L_Z},\n  "N": {scheme.N},\n  "nodes": {body}\n}}\n'
-    )
+    n, N, L, L_Z = len(scheme.nodes), scheme.N, scheme.L, scheme.L_Z
+    ids, node = [json.dumps(v).replace("%", "%%") for v in scheme.nodes], _node_layout(N, L, L_Z)
+    body = "{\n    " + (node + ",\n    ").join(ids) + node + "\n  }" if n else "{}"  # each id, then its layout
+    values = np.concatenate([scheme.F.reshape(n, N * L), scheme.H.reshape(n, N * L_Z)], axis=1)  # per node, F then H
+    layout = '{\n  "name": %s,\n  "p": %s,\n  "L": %s,\n  "Lz": %s,\n  "N": %s,\n  "nodes": ' + body + "\n}\n"
+    return layout % (json.dumps(scheme.name), scheme.field.p, L, L_Z, N, *values.ravel().tolist())
 
 
 # -- linear verifier ------------------------------------------------------------
@@ -175,13 +231,7 @@ class CheckRecord:
     detail: str = ""
 
     def to_json(self) -> dict:
-        return {
-            "subject": self.subject,
-            "kind": self.kind,
-            "passed": self.passed,
-            "overlap_dim": self.overlap_dim,
-            "detail": self.detail,
-        }
+        return dict(vars(self))  # the fields, in order
 
 
 @dataclass(frozen=True)
@@ -220,63 +270,35 @@ def verify_linear(inst: CdsInstance, scheme: LinearScheme) -> VerificationReport
     p, L, N = scheme.field.p, scheme.L, scheme.N
     nodes = inst.nodes()  # in node_key order
     edges = list(inst.edges_with_kind())
-    f_all, h_all, ends = _node_arrays(inst, scheme, [e for e, _ in edges])
-    partner = _partners(h_all, ends)
+    ends = _ends(inst, [e for e, _ in edges])
+    partner = _partners(scheme.H, ends)
     noise_rank = np.full(len(nodes), N)
     if partner is None:
-        noise_rank = batch_rref(h_all.copy(), p, scheme.L_Z)
+        noise_rank = batch_rref(scheme.H.copy(), p, scheme.L_Z)
     records = [
         CheckRecord(subject=node, kind="noise-rank", passed=r == N, detail=f"rank(H)={r}, N={N}")
         for node, r in zip(nodes, noise_rank.tolist())
     ]
     qualified = np.array([kind == "qualified" for _, kind in edges], dtype=bool)
-    h_rank, wf = _edge_checks(f_all, h_all, ends, p, partner)
+    h_rank, wf = _edge_checks(scheme.F, scheme.H, ends, p, partner)
     dims = noise_rank[ends].sum(axis=1) - h_rank
     ranks = wf.any(axis=(1, 2)).astype(np.intp)  # rank of W F, 0 iff it is zero
     ranks[qualified] = batch_rref(wf[qualified], p, L)
     for ((x, y), kind), d, r in zip(edges, dims.tolist(), ranks.tolist()):
         subject = f"{a_node(x)}-{b_node(y)}"
         if kind == "qualified":
-            records.append(
-                CheckRecord(
-                    subject=subject,
-                    kind="qualified",
-                    passed=r == L,
-                    overlap_dim=d,
-                    detail=f"rank(PvFv - PuFu)={r}, L={L}",
-                )
-            )
-            records.append(
-                CheckRecord(
-                    subject=subject,
-                    kind="noise-alignment",
-                    passed=d >= L,
-                    overlap_dim=d,
-                    detail=f"overlap dim {d} vs L={L}",
-                )
-            )
+            records.append(CheckRecord(subject, "qualified", r == L, d, f"rank(PvFv - PuFu)={r}, L={L}"))
+            records.append(CheckRecord(subject, "noise-alignment", d >= L, d, f"overlap dim {d} vs L={L}"))
         else:
-            records.append(
-                CheckRecord(
-                    subject=subject,
-                    kind="unqualified",
-                    passed=r == 0,
-                    overlap_dim=d,
-                    detail="secret projections agree on the noise overlap"
-                    if r == 0
-                    else "secret projections differ on the noise overlap",
-                )
-            )
+            detail = f"secret projections {'agree' if r == 0 else 'differ'} on the noise overlap"
+            records.append(CheckRecord(subject, "unqualified", r == 0, d, detail))
     return VerificationReport(tuple(records))
 
 
-def _node_arrays(inst: CdsInstance, scheme: LinearScheme, edges) -> tuple[np.ndarray, ...]:
-    """Every node's F (n x N x L) and H (n x N x L_Z), in ``inst.nodes()``
-    order, and the indices of each edge's (A end, B end) in it."""
-    nodes, N = inst.nodes(), scheme.N
-    f_all = np.array([scheme.f_of(v).array for v in nodes], dtype=np.int64).reshape(len(nodes), N, scheme.L)
-    h_all = np.array([scheme.h_of(v).array for v in nodes], dtype=np.int64).reshape(len(nodes), N, scheme.L_Z)
-    return f_all, h_all, np.array([(x - 1, inst.a_count + y - 1) for x, y in edges], dtype=np.intp).reshape(-1, 2)
+def _ends(inst: CdsInstance, edges) -> np.ndarray:
+    """Each edge's (A end, B end) as indices into ``inst.nodes()``, which is
+    the node order of a scheme checked against ``inst``."""
+    return np.array([(x - 1, inst.a_count + y - 1) for x, y in edges], dtype=np.intp).reshape(-1, 2)
 
 
 def _partners(h_all: np.ndarray, ends: np.ndarray) -> np.ndarray | None:
@@ -340,14 +362,7 @@ class OracleResult:
         return self.status == "fail"
 
     def to_json(self) -> dict:
-        return {
-            "edge": list(self.edge),
-            "kind": self.kind,
-            "status": self.status,
-            "states": self.states,
-            "detail": self.detail,
-            "counterexample": self.counterexample,
-        }
+        return {**vars(self), "edge": list(self.edge)}  # the fields, in order
 
 
 DEFAULT_ORACLE_BUDGET = 10_000_000
@@ -465,20 +480,15 @@ def _edge_oracle(inst: CdsInstance, scheme: LinearScheme, edge: tuple[int, int],
     else:
         raise SchemeError(f"({edge[0]},{edge[1]}) is not an edge of {inst.name!r}")
     va, vb = a_node(edge[0]), b_node(edge[1])
-    p = scheme.field.p
-    f_stack = np.vstack([scheme.f_of(va).array, scheme.f_of(vb).array])
-    h_stack = np.vstack([scheme.h_of(va).array, scheme.h_of(vb).array])
+    p, ends = scheme.field.p, _ends(inst, [edge])[0]
+    f_stack = scheme.F[ends].reshape(2 * scheme.N, scheme.L)
+    h_stack = scheme.H[ends].reshape(2 * scheme.N, scheme.L_Z)
     ref_cols = np.nonzero(h_stack.any(axis=0))[0]
     m = len(ref_cols)
     states = p ** (scheme.L + m)
     if states > budget:
-        return OracleResult(
-            edge=edge,
-            kind=kind,
-            status="not-checked",
-            states=states,
-            detail=f"p^(L+m) = {p}^{scheme.L + m} = {states} exceeds budget {budget}",
-        )
+        detail = f"p^(L+m) = {p}^{scheme.L + m} = {states} exceeds budget {budget}"
+        return OracleResult(edge, kind, "not-checked", states, detail)
     secrets = _all_tuples(p, scheme.L)
     hz = _noise_parts(h_stack[:, ref_cols], p)  # the distinct noise parts, each from mult of the p^m assignments
     mult = p**m // len(hz)
@@ -535,14 +545,7 @@ class EdgeSimulation:
         return self.decode_successes / self.trials
 
     def to_json(self) -> dict:
-        return {
-            "edge": list(self.edge),
-            "kind": self.kind,
-            "trials": self.trials,
-            "decode_successes": self.decode_successes,
-            "decodable": self.decodable,
-            "success_frequency": self.success_frequency,
-        }
+        return {**vars(self), "edge": list(self.edge), "success_frequency": self.success_frequency}
 
 
 @dataclass(frozen=True)
@@ -552,11 +555,7 @@ class SimulationReport:
     edges: tuple[EdgeSimulation, ...]
 
     def to_json(self) -> dict:
-        return {
-            "trials": self.trials,
-            "seed": self.seed,
-            "edges": [e.to_json() for e in self.edges],
-        }
+        return {**vars(self), "edges": [e.to_json() for e in self.edges]}
 
 
 def simulate(inst: CdsInstance, scheme: LinearScheme, seed: int, trials: int) -> SimulationReport:
@@ -582,11 +581,11 @@ def simulate(inst: CdsInstance, scheme: LinearScheme, seed: int, trials: int) ->
     rng = np.random.default_rng(seed)
     p, L, N = scheme.field.p, scheme.L, scheme.N
     edges = sorted(inst.qualified)
-    f_all, h_all, ends = _node_arrays(inst, scheme, edges)
+    ends = _ends(inst, edges)
     eye = np.broadcast_to(np.eye(2 * N, dtype=np.int64), (len(edges), 2 * N, 2 * N))
-    _, wf_w = _edge_checks(f_all, h_all, ends, p, _partners(h_all, ends), eye)
+    _, wf_w = _edge_checks(scheme.F, scheme.H, ends, p, _partners(scheme.H, ends), eye)
     decodable = batch_rref(wf_w, p, L) == L
-    precoders = np.concatenate([f_all, h_all], axis=2)
+    precoders = np.concatenate([scheme.F, scheme.H], axis=2)
     ok_ends, decoder = ends[decodable], wf_w[decodable, :L, L:]
     successes = np.zeros(len(edges), dtype=np.int64)
     # with no decodable edge there is nothing to decode, and D may have fewer than L rows

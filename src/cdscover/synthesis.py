@@ -118,31 +118,26 @@ class SynthesisPlan:
     components: tuple[ComponentPlan, ...]
 
     def to_scheme(self) -> LinearScheme:
-        precoders = {}
+        nodes = self.instance.nodes()
+        index = {node: i for i, node in enumerate(nodes)}
+        f = np.zeros((len(nodes), self.N, self.L), dtype=np.int64)
+        h = np.zeros((len(nodes), self.N, self.L_Z), dtype=np.int64)
         for comp in self.components:
             for node in comp.component.nodes:
-                f_rows = np.zeros((self.N, self.L), dtype=np.int64)
-                h_rows = np.zeros((self.N, self.L_Z), dtype=np.int64)
+                i = index[node]
                 for r, j in enumerate(comp.windows[node]):
-                    h_rows[r, comp.column(j)] = 1
+                    h[i, r, comp.column(j)] = 1
                     payload = comp.payloads[j]
                     if payload is None:
                         continue
                     k = comp.coefficients[j][node]
                     kind, idx = payload
                     if kind == "s":
-                        f_rows[r, idx - 1] = k
+                        f[i, r, idx - 1] = k
                     else:
-                        f_rows[r] = np.mod(k * self.cauchy.array[idx - 1], self.field.p)
-                precoders[node] = (FieldMatrix(f_rows, self.field), FieldMatrix(h_rows, self.field))
-        return LinearScheme(
-            field=self.field,
-            L=self.L,
-            L_Z=self.L_Z,
-            N=self.N,
-            precoders=precoders,
-            name=f"synth-{self.instance.name}" if self.instance.name else "synth",
-        )
+                        f[i, r] = np.mod(k * self.cauchy.array[idx - 1], self.field.p)
+        name = f"synth-{self.instance.name}" if self.instance.name else "synth"
+        return LinearScheme(self.field, self.L, self.L_Z, self.N, tuple(nodes), f, h, name)
 
 
 def synthesize_plan(inst: CdsInstance) -> SynthesisPlan:
@@ -182,16 +177,7 @@ def synthesize_plan(inst: CdsInstance) -> SynthesisPlan:
     for comp in comps:
         plans.append(plan_component(inst, comp, rho_value, offset))
         offset += len(plans[-1].holders)
-    plan = SynthesisPlan(
-        instance=inst,
-        rho_value=rho_value,
-        field=field,
-        L=L,
-        N=N,
-        L_Z=offset,
-        cauchy=cauchy,
-        components=tuple(plans),
-    )
+    plan = SynthesisPlan(inst, rho_value, field, L, N, offset, cauchy, tuple(plans))
     _structural_certificate(plan)
     return plan
 

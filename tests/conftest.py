@@ -75,6 +75,21 @@ def tiny_oracle_instances():
     ]
 
 
+def precoder_scheme(field: PrimeField, L: int, L_Z: int, N: int, precoders: dict, name: str = "") -> cc.LinearScheme:
+    """The scheme whose node v has the ``FieldMatrix`` pair ``precoders[v]``
+    = (F_v, H_v), its nodes put in node_key order."""
+    nodes = tuple(sorted(precoders, key=cc.graph.node_key))
+    f = np.array([precoders[v][0].array for v in nodes], dtype=np.int64).reshape(len(nodes), N, L)
+    h = np.array([precoders[v][1].array for v in nodes], dtype=np.int64).reshape(len(nodes), N, L_Z)
+    return cc.LinearScheme(field, L, L_Z, N, nodes, f, h, name)
+
+
+def precoders_of(scheme: cc.LinearScheme) -> dict[str, tuple[FieldMatrix, FieldMatrix]]:
+    """The scheme's {node: (F, H)} pairs, the inverse of ``precoder_scheme``."""
+    field = scheme.field
+    return {v: (FieldMatrix(scheme.f_of(v), field), FieldMatrix(scheme.h_of(v), field)) for v in scheme.nodes}
+
+
 def zeros(rows: int, cols: int, field: PrimeField) -> FieldMatrix:
     return FieldMatrix(np.zeros((rows, cols), dtype=np.int64), field)
 
@@ -129,20 +144,20 @@ def small_scheme_corpus(min_size: int = 50):
                 for node in inst.nodes()
             }
             corpus.append(
-                (inst, cc.LinearScheme(field, 1, l_z, n, precoders, f"random-{seed}"), f"random-{seed}")
+                (inst, precoder_scheme(field, 1, l_z, n, precoders, f"random-{seed}"), f"random-{seed}")
             )
         elif kind == 2:
             found = cc.random_scheme_search(inst, p=p, L=1, N=n, L_Z=l_z, seed=seed, budget=250)
             if found is None:
                 continue
             node = inst.nodes()[seed % len(inst.nodes())]
-            f, h = found.precoders[node]
+            precoders = precoders_of(found)
+            f, h = precoders[node]
             arr = f.array.copy()
             arr[seed % n, 0] = (arr[seed % n, 0] + 1) % p
-            precoders = dict(found.precoders)
             precoders[node] = (FieldMatrix(arr, field), h)
             corpus.append(
-                (inst, cc.LinearScheme(field, 1, l_z, n, precoders, f"perturbed-{seed}"), f"perturbed-{seed}")
+                (inst, precoder_scheme(field, 1, l_z, n, precoders, f"perturbed-{seed}"), f"perturbed-{seed}")
             )
         else:
             # all-zero secret precoders: secure everywhere, decodable nowhere,
@@ -152,6 +167,6 @@ def small_scheme_corpus(min_size: int = 50):
             eye = FieldMatrix(np.eye(n, l_z, dtype=np.int64), field)
             precoders = {node: (zeros(n, 1, field), eye) for node in inst.nodes()}
             corpus.append(
-                (inst, cc.LinearScheme(field, 1, l_z, n, precoders, f"zero-{seed}"), f"zero-{seed}")
+                (inst, precoder_scheme(field, 1, l_z, n, precoders, f"zero-{seed}"), f"zero-{seed}")
             )
     return corpus

@@ -26,6 +26,7 @@ from cdscover.fields import FieldMatrix, PrimeField
 from cdscover.graph import CdsInstance, a_node, b_node
 from cdscover.linalg import nullspace, residue_rank
 from cdscover.scheme import LinearScheme, serialize_scheme
+from conftest import precoder_scheme
 
 FIXTURE_SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "build_fixtures.py"
 
@@ -315,14 +316,7 @@ def _union_find_solve_alignment(
         h = np.zeros((N, L_Z), dtype=np.int64)
         h[np.arange(N), cols[n]] = 1
         precoders[n] = (FieldMatrix(rows[node_idx[n] * N : node_idx[n] * N + N], field), FieldMatrix(h, field))
-    return LinearScheme(
-        field=field,
-        L=L,
-        L_Z=L_Z,
-        N=N,
-        precoders=precoders,
-        name=f"search-{inst.name}" if inst.name else "search",
-    )
+    return precoder_scheme(field, L, L_Z, N, precoders, f"search-{inst.name}" if inst.name else "search")
 
 
 @st.composite
@@ -433,7 +427,7 @@ def _dense_solve_alignment(inst, field, L, N, L_Z, nodes, node_idx, atoms, qedge
         h[np.arange(N), sorted(atoms[n])] = 1
         precoders[n] = (FieldMatrix(rows[node_idx[n] * N : node_idx[n] * N + N], field), FieldMatrix(h, field))
     name = f"search-{inst.name}" if inst.name else "search"
-    return LinearScheme(field=field, L=L, L_Z=L_Z, N=N, precoders=precoders, name=name), deficient
+    return precoder_scheme(field, L, L_Z, N, precoders, name), deficient
 
 
 @st.composite
@@ -609,7 +603,7 @@ def test_search_deterministic(catalog_instances):
     s2 = random_scheme_search(inst, p=3, L=4, N=5, L_Z=9, seed=7, budget=500)
     assert (s1 is None) == (s2 is None)
     if s1 is not None:
-        assert s1.precoders == s2.precoders
+        assert s1 == s2
 
 
 def test_search_budget_zero(catalog_instances):
@@ -698,9 +692,9 @@ def test_solve_scheme_for_noise_with_pins(fixture_script):
         pinned_diffs=[],
     )
     assert scheme is not None
-    assert scheme.f_of("A1").to_lists()[0] == [1, 2]
+    assert scheme.f_of("A1").tolist()[0] == [1, 2]
     # full overlap forces equal secret precoders
-    assert scheme.f_of("A1") == scheme.f_of("B1")
+    assert np.array_equal(scheme.f_of("A1"), scheme.f_of("B1"))
     assert cc.verify_linear(inst, scheme).overall
 
 
@@ -737,7 +731,7 @@ def test_solve_scheme_for_noise_zeroes_edgeless_nodes(fixture_script):
         pinned_diffs=[],
     )
     assert scheme is not None
-    assert scheme.f_of("A2").to_lists() == [[0], [0]]
-    assert scheme.f_of("A1").to_lists()[0] == [1]
-    assert scheme.f_of("A1") != scheme.f_of("B1")
+    assert scheme.f_of("A2").tolist() == [[0], [0]]
+    assert scheme.f_of("A1").tolist()[0] == [1]
+    assert not np.array_equal(scheme.f_of("A1"), scheme.f_of("B1"))
     assert cc.verify_linear(inst, scheme).overall

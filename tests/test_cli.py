@@ -5,10 +5,13 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import cdscover as cc
-from cdscover.cli import build_parser, main
-from conftest import set_adjacency, tiny_oracle_instances
+from cdscover.bounds import Verdict
+from cdscover.cli import _json, build_parser, main
+from cdscover.scheme import CheckRecord, EdgeSimulation, OracleResult, SimulationReport, VerificationReport
+from conftest import precoder_scheme, precoders_of, set_adjacency, tiny_oracle_instances
 
 
 def _write_fixture(tmp_path, kind, name):
@@ -145,6 +148,90 @@ def test_entropic_failures_are_pinned(scheme, capsys):
     # building the signal keys must reproduce them exactly
     assert main(["--json", "verify", "fig2", scheme, "--entropic"]) == 1
     assert json.loads(capsys.readouterr().out)["entropic"] == PINNED_FAILURES[scheme]
+
+
+# names with quotes, backslashes, control characters, non-ASCII and astral
+# characters, which the writer must escape as json.dumps does, and with the
+# format characters % { }
+NAMES = st.text(st.sampled_from('aZ0 %{}"\\/\n\t\x00\x1f\x7fé字😀'), max_size=8) | st.text(max_size=6)
+COUNTS = st.integers(0, 10**6) | st.integers(-(2**70), 2**70)
+FRACTIONS = st.builds(lambda a, b: f"{a}/{b}", st.integers(0, 99), st.integers(1, 99))
+WITNESSES = st.none() | st.builds(
+    lambda edge, path, cover, size: {"edge": edge, "path": path, "cover": cover, "size": size},
+    st.lists(NAMES, min_size=2, max_size=2),
+    st.lists(NAMES, max_size=5),
+    st.lists(st.lists(NAMES, min_size=2, max_size=2), max_size=4),
+    COUNTS,
+)
+RECORDS = st.builds(
+    CheckRecord, NAMES, st.sampled_from(("noise-rank", "qualified", "unqualified", "noise-alignment")),
+    st.booleans(), st.none() | COUNTS, NAMES,
+)
+COUNTEREXAMPLES = st.none() | st.fixed_dictionaries(
+    {"signals": st.dictionaries(NAMES, st.lists(COUNTS, max_size=3), max_size=2)},
+    optional={"secrets": st.lists(st.lists(COUNTS, max_size=3), max_size=2), "count_low": COUNTS},
+)
+ORACLE_RESULTS = st.builds(
+    OracleResult, st.tuples(COUNTS, COUNTS), st.sampled_from(("qualified", "unqualified")),
+    st.sampled_from(("pass", "fail", "not-checked")), COUNTS, NAMES, COUNTEREXAMPLES,
+)
+SIMULATIONS = st.builds(
+    SimulationReport, COUNTS, COUNTS,
+    st.lists(
+        st.builds(
+            EdgeSimulation, st.tuples(COUNTS, COUNTS), st.just("qualified"), st.integers(1, 10**9), COUNTS, st.booleans()
+        ),
+        max_size=4,
+    ).map(tuple),
+)
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | COUNTS | st.floats() | NAMES,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(NAMES, inner, max_size=3),
+    max_leaves=12,
+)
+
+
+def _synth_payload(sizes, rate, output, rendering):
+    payload = dict(zip(("rho", "p", "L", "N", "Lz"), sizes), rate=rate, output=output)
+    return payload if rendering is None else {**payload, "rendering": rendering}  # --render
+
+
+def _verify_payload(records, rate, entropic, overall):
+    payload = {"linear": VerificationReport(tuple(records)).to_json(), "rate": rate}
+    if entropic is not None:
+        payload["entropic"] = [r.to_json() for r in entropic]
+    payload["overall"] = overall
+    return payload
+
+
+CLI_PAYLOADS = st.one_of(
+    st.builds(lambda rho, w: {"rho": rho, "witness": w}, st.none() | COUNTS, WITNESSES),  # rho
+    st.builds(lambda bound, w: {"bound": bound, "witness": w}, FRACTIONS, WITNESSES),  # bound
+    st.builds(Verdict, st.sampled_from(("exact", "bounded-above")), st.fractions(0, 1), NAMES, st.booleans()).map(
+        Verdict.to_json
+    ),  # classify
+    st.builds(_synth_payload, st.lists(COUNTS, min_size=5, max_size=5), FRACTIONS, st.none() | NAMES, st.none() | NAMES),
+    st.builds(  # verify, with and without --entropic
+        _verify_payload,
+        st.lists(RECORDS, max_size=6),
+        FRACTIONS,
+        st.none() | st.lists(ORACLE_RESULTS, max_size=4),
+        st.booleans(),
+    ),
+    SIMULATIONS.map(SimulationReport.to_json),  # simulate, with float frequencies
+    st.just({"found": False})  # search
+    | st.fixed_dictionaries({"found": st.just(True), "rate": FRACTIONS, "output": st.none() | NAMES}),
+    st.fixed_dictionaries({"instances": st.lists(NAMES, max_size=4), "schemes": st.lists(NAMES, max_size=4)}),  # catalog
+    st.fixed_dictionaries({"output": NAMES}),
+    st.dictionaries(NAMES, JSON_VALUES, max_size=4),
+)
+
+
+@given(CLI_PAYLOADS)
+@example({"floats": [float("nan"), float("inf"), -float("inf"), 0.1, -0.0, 1e300, 5e-324], "empty": [[], {}]})
+@settings(max_examples=400, deadline=None)
+def test_json_writer_is_json_dumps_indent_2(payload):
+    assert _json(payload) == json.dumps(payload, indent=2)
 
 
 def test_verify_json_roundtrip(capsys):
@@ -490,18 +577,18 @@ def _synthesized_unions():
 def _perturbed(scheme, seed):
     """The scheme with one secret entry bumped, and with one noise precoder
     made rank-deficient (its first row copied onto its last)."""
-    nodes = sorted(scheme.precoders)
+    nodes = sorted(scheme.nodes)
     node = nodes[seed % len(nodes)]
-    f, h = scheme.precoders[node]
+    f, h = precoders_of(scheme)[node]
     bumped = f.array.copy()
     bumped[seed % scheme.N, seed % scheme.L] += 1
     low = h.array.copy()
     low[-1] = low[0]
     variants = []
     for pair in ((cc.FieldMatrix(bumped, f.field), h), (f, cc.FieldMatrix(low, h.field))):
-        precoders = dict(scheme.precoders)
+        precoders = precoders_of(scheme)
         precoders[node] = pair
-        variants.append(cc.LinearScheme(scheme.field, scheme.L, scheme.L_Z, scheme.N, precoders, scheme.name))
+        variants.append(precoder_scheme(scheme.field, scheme.L, scheme.L_Z, scheme.N, precoders, scheme.name))
     return variants
 
 
@@ -564,7 +651,7 @@ def _oracle_corpus():
                     h = rng.integers(0, p, size=(N, L_Z)) * (rng.random((N, L_Z)) < 0.6)
                     f = [rng.integers(0, p, size=(N, L)), np.zeros((N, L), dtype=np.int64), h @ mix % p][(i + k) % 3]
                     precoders[node] = (cc.FieldMatrix(f, field), cc.FieldMatrix(h, field))
-                out.append((inst, cc.LinearScheme(field, L, L_Z, N, precoders, f"p{p}-N{N}-{inst.name}")))
+                out.append((inst, precoder_scheme(field, L, L_Z, N, precoders, f"p{p}-N{N}-{inst.name}")))
     return out
 
 

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import json
+import random
 import sys
 
 import pytest
@@ -485,6 +486,50 @@ def test_components_and_classes_match_networkx(inst):
         else:
             assert t[0] == min((n for n in c.nodes if qgraph.degree(n) < 2), key=node_key)
         assert all(qgraph.has_edge(u, v) for u, v in steps)
+
+
+def _set_components(adj, within):
+    """Reference: the components of the dict-of-sets graph ``adj`` on the node
+    set ``within``, as node sets listed by least node."""
+    left, found = set(within), []
+    for v in sorted(within):
+        if v in left:
+            found.append(_reach(adj, v, left))
+            left -= found[-1]
+    return found
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 1500), st.integers(0, 2**32 - 1), st.sampled_from((0.0, 0.05, 0.5, 2.0)), st.booleans())
+def test_components_match_set_reference_on_wide_masks(n, seed, degree, everything):
+    # up to 1500 nodes, mostly lone, so masks run past the 512 bits at which
+    # components switches from low-bit operations to one scan of the mask
+    rng = random.Random(seed)
+    adj = {i: set() for i in range(n)}
+    for _ in range(int(degree * n)):
+        a, b = rng.randrange(n), rng.randrange(n)
+        adj[a].add(b)
+        adj[b].add(a)
+    masks = [sum(1 << j for j in adj[i]) for i in range(n)]
+    within = (1 << n) - 1 if everything else rng.getrandbits(n)
+    want = _set_components(adj, {i for i in range(n) if within >> i & 1})
+    assert components(masks, within) == [sum(1 << i for i in c) for c in want]
+
+
+@pytest.mark.parametrize("side, qualified", [(20000, 0), (3000, 400), (3000, 3000), (300, 250)])
+def test_qualified_components_match_set_reference_on_sparse_instances(side, qualified):
+    # the edgeless 20000x20000 instance has 40000 one-node components, each
+    # once taken off by wide mask operations, which made the split quadratic
+    rng = random.Random(side + qualified)
+    pairs = {(rng.randint(1, side), rng.randint(1, side)) for _ in range(qualified)}
+    inst = CdsInstance("sparse", side, side, frozenset(pairs), frozenset())
+    names = inst.nodes()
+    index = {v: i for i, v in enumerate(names)}
+    adj = {index[v]: {index[m] for m in nbrs} for v, nbrs in set_adjacency(inst, pairs).items()}
+    want = [tuple(names[i] for i in sorted(c)) for c in _set_components(adj, set(range(len(names))))]
+    comps = qualified_components(inst)
+    assert [c.nodes for c in comps] == want
+    assert all((c.kind, c.traversal) == ("path", c.nodes) for c in comps if len(c.nodes) == 1)
 
 
 def test_random_instance_deterministic():

@@ -19,7 +19,7 @@ from cdscover.scheme import (
     LinearScheme,
     SchemeError,
     _noise_parts,
-    _node_arrays,
+    _ends,
     _partners,
     _signal_keys,
     entropic_oracle_all,
@@ -32,14 +32,22 @@ from cdscover.scheme import (
     verify_linear,
 )
 
-from conftest import identity, random_full_rank_h, random_matrix, small_scheme_corpus, zeros
+from conftest import (
+    identity,
+    precoder_scheme,
+    precoders_of,
+    random_full_rank_h,
+    random_matrix,
+    small_scheme_corpus,
+    zeros,
+)
 
 
 def test_rate_values():
     f = PrimeField(3)
 
     def mk(L, N):
-        return LinearScheme(f, L, 1, N, {})
+        return precoder_scheme(f, L, 1, N, {})
 
     assert rate(mk(4, 5)) == Fraction(2, 5)
     assert rate(mk(5, 6)) == Fraction(5, 12)
@@ -49,7 +57,7 @@ def test_rate_values():
 def test_scheme_roundtrip():
     s = cc.catalog.builtin_scheme("fig2-rate-2-5")
     again = parse_scheme(serialize_scheme(s))
-    assert again.L == s.L and again.precoders == s.precoders
+    assert again == s
 
 
 @st.composite
@@ -65,15 +73,15 @@ def schemes(draw):
 
     name = draw(st.text(st.sampled_from('a"\\\n\x00é字 😀'), max_size=8) | st.text(max_size=6))
     precoders = {f"{side}{i}": (matrix(L), matrix(L_Z)) for side, i in nodes}
-    return LinearScheme(field, L, L_Z, N, precoders, name)
+    return precoder_scheme(field, L, L_Z, N, precoders, name)
 
 
 @given(schemes())
-@example(LinearScheme(PrimeField(2), 2, 1, 0, {"B1": (zeros(0, 2, PrimeField(2)), zeros(0, 1, PrimeField(2)))}))
+@example(precoder_scheme(PrimeField(2), 2, 1, 0, {"B1": (zeros(0, 2, PrimeField(2)), zeros(0, 1, PrimeField(2)))}))
 @settings(max_examples=150, deadline=None)
 def test_serialize_scheme_is_json_dumps_indent_2(s):
-    order = sorted(s.precoders, key=lambda node: (node[0], int(node[1:])))
-    nodes = {node: {"F": s.f_of(node).array.tolist(), "H": s.h_of(node).array.tolist()} for node in order}
+    order = sorted(s.nodes, key=lambda node: (node[0], int(node[1:])))
+    nodes = {node: {"F": s.f_of(node).tolist(), "H": s.h_of(node).tolist()} for node in order}
     obj = {"name": s.name, "p": s.field.p, "L": s.L, "Lz": s.L_Z, "N": s.N, "nodes": nodes}
     text = serialize_scheme(s)
     assert text == json.dumps(obj, indent=2) + "\n"
@@ -112,6 +120,94 @@ def test_parse_scheme_errors():
             parse_scheme(json.dumps({"p": 3, "L": 1, "Lz": 1, "N": n, "nodes": {}}))
 
 
+# values np.array coerces (a bool or float into an int row, a string beside
+# ints), cannot hold in int64, or reads as another shape or a ValueError
+NUMPY_TRAPS = [True, False, "1", 1.5, 1.0, 2**70, 2**63, None, [1], [], {}, -1]
+
+
+def _trap_file(f_rows, p=3, N=1):
+    """A two-node scheme file over F_p whose A1 has secret precoder ``f_rows``."""
+    nodes = {"A1": {"F": f_rows, "H": [[1]] * N}, "B1": {"F": [[0, 1]] * N, "H": [[1]] * N}}
+    return {"p": p, "L": 2, "Lz": 1, "N": N, "nodes": nodes}
+
+
+@st.composite
+def malformed_scheme_files(draw):
+    """Scheme files as objects over p in {2, 3, 7}, nodes in any order, some
+    with ids that are no node's and hold format characters. Most have one
+    change: an entry set to a value of ``NUMPY_TRAPS`` or to p or more, a
+    row made ragged or replaced, a matrix or node entry replaced or given an
+    extra row, or every node's F or H given one (a shape that is wrong but
+    the same across the stack)."""
+    p = draw(st.sampled_from((2, 3, 7)))
+    N, L, L_Z = draw(st.integers(1, 3)), draw(st.integers(0, 3)), draw(st.integers(0, 3))
+    names = draw(st.lists(st.sampled_from(("A1", "A2", "B1", "B2", "A10", "A%s", "x{}")), unique=True, max_size=4))
+    matrix = lambda cols: [[draw(st.integers(0, p - 1)) for _ in range(cols)] for _ in range(N)]  # noqa: E731
+    nodes = {v: {"F": matrix(L), "H": matrix(L_Z)} for v in names}
+    value = draw(st.sampled_from(NUMPY_TRAPS + [p, p + 1]))
+    change = draw(st.sampled_from(("none", "entry", "row", "ragged", "matrix", "extra row", "every node", "node")))
+    key = draw(st.sampled_from("FH"))
+    if names and change != "none":
+        v = draw(st.sampled_from(names))
+        m, r = nodes[v][key], draw(st.integers(0, N - 1))
+        if change == "entry" and m[r]:
+            m[r][draw(st.integers(0, len(m[r]) - 1))] = value
+        elif change in ("row", "ragged"):
+            m[r] = value if change == "row" else m[r] + [0] if draw(st.booleans()) or not m[r] else m[r][1:]
+        elif change == "matrix":
+            nodes[v][key] = value
+        elif change == "extra row":
+            m.append(list(m[0]))
+        elif change == "every node":
+            for entry in nodes.values():
+                entry[key].append([0] * len(entry[key][0]))
+        elif change == "node":
+            nodes[v] = draw(st.sampled_from((value, {"F": m})))
+    name = draw(st.sampled_from(("", "x", "true")))
+    return {"name": name, "p": p, "L": L, "Lz": L_Z, "N": N, "nodes": nodes}
+
+
+def _parse_outcome(text):
+    """The parsed scheme, or the text of the SchemeError that refused it."""
+    try:
+        return parse_scheme(text)
+    except SchemeError as e:
+        return str(e)
+
+
+@given(malformed_scheme_files())
+@example(_trap_file([[True, 2]]))
+@example(_trap_file([["1", 2]]))
+@example(_trap_file([[1.5, 2]]))
+@example(_trap_file([[1.0, 2]]))
+@example(_trap_file([[2**70, 2]]))
+@example(_trap_file([[None, 2]]))
+@example(_trap_file([[[1], [2]]]))  # a nested list, read as a 1 x 2 x 1 matrix
+@example(_trap_file([[1, 2], [1]], N=2))  # a ragged row
+@example(_trap_file([[-1, 2]]))
+@example(_trap_file([[3, 2]]))  # p
+@settings(max_examples=300, deadline=None)
+def test_bulk_parse_matches_per_entry_scan(obj):
+    # the stacks checked whole must accept exactly the files the per-entry
+    # scan accepts, with equal schemes, and leave every refusal's text to it
+    text = json.dumps(obj)
+    bulk = _parse_outcome(text)
+    with mock.patch("cdscover.scheme._bulk_stacks", return_value=None):
+        assert bulk == _parse_outcome(text)
+    if isinstance(bulk, LinearScheme):  # ids that are no node's, with format characters, are written back as read
+        assert parse_scheme(serialize_scheme(bulk)) == bulk
+
+
+def test_bulk_parse_takes_well_formed_files():
+    # the scan is only a fallback: every catalog scheme, written again, and a
+    # synthesized one are read by the bulk check alone
+    inst = cc.catalog.builtin_instance("fig5")
+    schemes = [cc.catalog.builtin_scheme(name) for name in cc.catalog.SCHEME_NAMES] + [cc.synthesize(inst)]
+    with mock.patch("cdscover.scheme._scanned_stacks", side_effect=AssertionError("scanned")):
+        for scheme in schemes:
+            assert parse_scheme(serialize_scheme(scheme)) == scheme
+
+
 @pytest.mark.parametrize("key, value", [("L", -2), ("L", -1), ("Lz", -1), ("Lz", -5)])
 def test_parse_scheme_refuses_negative_lengths(key, value):
     obj = {"p": 3, "L": 2, "Lz": 1, "N": 1, "nodes": {}, key: value}
@@ -130,7 +226,8 @@ def test_field_size_guard_keeps_products_exact():
             with pytest.raises(SchemeError, match="overflow int64"):
                 parse_scheme(text)
             continue
-        f = parse_scheme(text).f_of("A1")
+        scheme = parse_scheme(text)
+        f = FieldMatrix(scheme.f_of("A1"), scheme.field)
         assert (FieldMatrix([[p - 1] * 2], f.field) @ FieldMatrix([[p - 1]] * 2, f.field)).to_lists() == [[2]]
     with pytest.raises(ValueError, match="overflow int64"):
         cc.random_scheme_search(cc.catalog.builtin_instance("fig2"), 3037000493, 4, 1, 1, seed=0, budget=1)
@@ -144,6 +241,12 @@ def test_verify_requires_matching_shapes():
     # fig5's scheme also has precoders for A5-A10 and B4-B10, which fig2 lacks
     with pytest.raises(SchemeError, match="not nodes of"):
         verify_linear(cc.catalog.builtin_instance("fig2"), cc.catalog.builtin_scheme("fig5-synth"))
+    # the stacks are indexed in the instance's node order, so a scheme built
+    # with the right nodes in another order is refused, not misread
+    s = cc.catalog.builtin_scheme("fig2-rate-2-5")
+    shuffled = LinearScheme(s.field, s.L, s.L_Z, s.N, s.nodes[::-1], s.F[::-1], s.H[::-1], s.name)
+    with pytest.raises(SchemeError, match=r"^scheme nodes \['B3', 'B2', .*, 'A1'\] are not in node order$"):
+        verify_linear(cc.catalog.builtin_instance("fig2"), shuffled)
 
 
 def test_verify_fixture_passes():
@@ -161,14 +264,14 @@ def test_verify_detects_perturbation():
     # perturb entries until an unqualified record fails (signal alignment is
     # broken with overwhelming likelihood once the entry lies in an overlap)
     found = False
-    for node in sorted(scheme.precoders):
+    for node in sorted(scheme.nodes):
         for row in range(scheme.N):
-            f, h = scheme.precoders[node]
+            mutated = precoders_of(scheme)
+            f, h = mutated[node]
             arr = f.array.copy()
             arr[row, 0] = (arr[row, 0] + 1) % scheme.field.p
-            mutated = dict(scheme.precoders)
             mutated[node] = (FieldMatrix(arr, scheme.field), h)
-            cand = LinearScheme(scheme.field, scheme.L, scheme.L_Z, scheme.N, mutated)
+            cand = precoder_scheme(scheme.field, scheme.L, scheme.L_Z, scheme.N, mutated)
             rep = verify_linear(inst, cand)
             if any(not r.passed and r.kind == "unqualified" for r in rep.records):
                 found = True
@@ -184,7 +287,7 @@ def test_verify_zero_secret_scheme():
     n = 5
     eye = identity(n, f)
     precoders = {node: (zeros(n, 4, f), eye) for node in inst.nodes()}
-    scheme = LinearScheme(f, 4, n, n, precoders)
+    scheme = precoder_scheme(f, 4, n, n, precoders)
     report = verify_linear(inst, scheme)
     by_kind = {}
     for r in report.records:
@@ -198,7 +301,7 @@ def test_verify_flags_rank_deficient_noise():
     f = PrimeField(2)
     h = FieldMatrix([[1, 0], [1, 0]], f)  # rank 1 < N=2
     precoders = {"A1": (zeros(2, 1, f), h), "B1": (zeros(2, 1, f), h)}
-    report = verify_linear(inst, LinearScheme(f, 1, 2, 2, precoders))
+    report = verify_linear(inst, precoder_scheme(f, 1, 2, 2, precoders))
     assert not report.overall
     assert {r.subject for r in report.failures()} == {"A1", "B1"}
 
@@ -211,14 +314,14 @@ def _reference_verify(inst, scheme):
     p, L, N = scheme.field.p, scheme.L, scheme.N
     records = []
     for node in inst.nodes():
-        r = residue_rank(scheme.h_of(node).array, p)
+        r = residue_rank(scheme.h_of(node), p)
         records.append(CheckRecord(node, "noise-rank", r == N, detail=f"rank(H)={r}, N={N}"))
     for (x, y), kind in inst.edges_with_kind():
         va, vb = a_node(x), b_node(y)
-        h_v, h_u = scheme.h_of(va).array, scheme.h_of(vb).array
+        h_v, h_u = scheme.h_of(va), scheme.h_of(vb)
         h = np.vstack([h_v, h_u])
         w = nullspace(FieldMatrix(h.T, scheme.field)).array
-        wf = np.mod(w @ np.vstack([scheme.f_of(va).array, scheme.f_of(vb).array]), p)
+        wf = np.mod(w @ np.vstack([scheme.f_of(va), scheme.f_of(vb)]), p)
         d = residue_rank(h_v, p) + residue_rank(h_u, p) - residue_rank(h, p)
         subject = f"{va}-{vb}"
         if kind == "qualified":
@@ -279,7 +382,7 @@ def verifier_schemes(draw):
         f = {"random": rng.integers(0, p, size=(N, L)), "zero": np.zeros((N, L), dtype=np.int64), "masked": h @ mix}
         pool.append((FieldMatrix(f[secret], field), FieldMatrix(h, field)))
     picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=len(nodes), max_size=len(nodes)))
-    return inst, LinearScheme(field, L, L_Z, N, {node: pool[i] for node, i in zip(nodes, picks)})
+    return inst, precoder_scheme(field, L, L_Z, N, {node: pool[i] for node, i in zip(nodes, picks)})
 
 
 @given(verifier_schemes())
@@ -329,7 +432,7 @@ def selection_schemes(draw):
         else:
             h[h == 1] = np.where(np.arange(N) == draw(st.integers(0, N - 1)), p - 1, 1)
         precoders[node] = (f, FieldMatrix(h, field))
-    return inst, LinearScheme(field, L, L_Z, N, precoders), variant
+    return inst, precoder_scheme(field, L, L_Z, N, precoders), variant
 
 
 def _selection_cases(check):
@@ -380,8 +483,8 @@ def test_verify_linear_matches_per_edge_reference_on_selection_noise():
     def check(inst, scheme, variant):
         report = verify_linear(inst, scheme)
         assert report == _reference_verify(inst, scheme)
-        _, h_all, ends = _node_arrays(inst, scheme, [e for e, _ in inst.edges_with_kind()])
-        assert (_partners(h_all, ends) is None) == (variant is not None)
+        ends = _ends(inst, [e for e, _ in inst.edges_with_kind()])
+        assert (_partners(scheme.H, ends) is None) == (variant is not None)
         ranks = {r.subject: r.passed for r in report.records if r.kind == "noise-rank"}
         assert sum(not ok for ok in ranks.values()) == (variant == "duplicate")
 
@@ -430,10 +533,10 @@ def test_verify_linear_at_the_largest_field():
     rng = np.random.default_rng(5)
     for _ in range(5):
         precoders = {node: (random_matrix(1, 1, field, rng), random_matrix(1, 1, field, rng)) for node in inst.nodes()}
-        scheme = LinearScheme(field, 1, 1, 1, precoders)
+        scheme = precoder_scheme(field, 1, 1, 1, precoders)
         assert verify_linear(inst, scheme) == _reference_verify(inst, scheme)
     h = FieldMatrix([[p - 1]], field)
-    aligned = LinearScheme(field, 1, 1, 1, {node: (FieldMatrix([[p - 2]], field), h) for node in inst.nodes()})
+    aligned = precoder_scheme(field, 1, 1, 1, {node: (FieldMatrix([[p - 2]], field), h) for node in inst.nodes()})
     report = verify_linear(inst, aligned)
     assert report == _reference_verify(inst, aligned)
     assert [r.kind for r in report.failures()] == ["qualified", "qualified"]
@@ -454,7 +557,7 @@ def test_oracle_qualified_trivial_decoding():
     f = PrimeField(2)
     a = (FieldMatrix([[1], [0]], f), FieldMatrix([[1, 0], [0, 1]], f))
     b = (FieldMatrix([[0], [0]], f), FieldMatrix([[1, 0], [0, 1]], f))
-    scheme = LinearScheme(f, 1, 2, 2, {"A1": a, "B1": b})
+    scheme = precoder_scheme(f, 1, 2, 2, {"A1": a, "B1": b})
     res = entropic_oracle_edge(inst, scheme, (1, 1))
     assert res.passed and res.states == 2 ** (1 + 2)
 
@@ -467,7 +570,7 @@ def test_oracle_unqualified_leak_hand_enumeration():
     f = PrimeField(2)
     a = (FieldMatrix([[1]], f), FieldMatrix([[1, 0]], f))
     b = (FieldMatrix([[0]], f), FieldMatrix([[1, 0]], f))
-    scheme = LinearScheme(f, 1, 2, 1, {"A1": a, "B1": b})
+    scheme = precoder_scheme(f, 1, 2, 1, {"A1": a, "B1": b})
     res = entropic_oracle_edge(inst, scheme, (1, 1))
     assert res.failed
     ce = res.counterexample
@@ -483,7 +586,7 @@ def test_oracle_unqualified_aligned_fragment():
     ha = FieldMatrix([[1, 1, 0, 0, 0], [0, 0, 0, 0, 1], [0, 0, 1, 0, 0]], f)
     fb = FieldMatrix([[1, 1, 0, 0], [0, 0, 1, 1], [0, 0, 0, 0]], f)
     hb = FieldMatrix([[1, 1, 0, 0, 0], [0, 0, 0, 0, 1], [0, 0, 0, 1, 0]], f)
-    scheme = LinearScheme(f, 4, 5, 3, {"A1": (fa, ha), "B1": (fb, hb)})
+    scheme = precoder_scheme(f, 4, 5, 3, {"A1": (fa, ha), "B1": (fb, hb)})
     assert verify_linear(inst, scheme).overall
     res = entropic_oracle_edge(inst, scheme, (1, 1), budget=10**7)
     assert res.passed
@@ -493,7 +596,7 @@ def test_oracle_budget_exceeded_is_explicit():
     inst = _two_node_instance("qualified")
     f = PrimeField(2)
     a = (FieldMatrix([[1], [0]], f), FieldMatrix([[1, 0], [0, 1]], f))
-    scheme = LinearScheme(f, 1, 2, 2, {"A1": a, "B1": a})
+    scheme = precoder_scheme(f, 1, 2, 2, {"A1": a, "B1": a})
     res = entropic_oracle_edge(inst, scheme, (1, 1), budget=4)
     assert res.status == "not-checked"
     assert "budget" in res.detail
@@ -503,7 +606,7 @@ def test_oracle_rejects_non_edges():
     inst = _two_node_instance("qualified")
     f = PrimeField(2)
     a = (FieldMatrix([[1], [0]], f), FieldMatrix([[1, 0], [0, 1]], f))
-    scheme = LinearScheme(f, 1, 2, 2, {"A1": a, "B1": a})
+    scheme = precoder_scheme(f, 1, 2, 2, {"A1": a, "B1": a})
     with pytest.raises(SchemeError):
         entropic_oracle_edge(inst, scheme, (9, 9))
 
@@ -514,10 +617,10 @@ def test_oracle_marginalization_matches_full_enumeration():
     f = PrimeField(2)
     a = (FieldMatrix([[1]], f), FieldMatrix([[1, 0]], f))
     b = (FieldMatrix([[0]], f), FieldMatrix([[1, 0]], f))
-    small = LinearScheme(f, 1, 2, 1, {"A1": a, "B1": b})
+    small = precoder_scheme(f, 1, 2, 1, {"A1": a, "B1": b})
     a2 = (FieldMatrix([[1]], f), FieldMatrix([[1, 0, 0, 0, 0]], f))
     b2 = (FieldMatrix([[0]], f), FieldMatrix([[1, 0, 0, 0, 0]], f))
-    padded = LinearScheme(f, 1, 5, 1, {"A1": a2, "B1": b2})
+    padded = precoder_scheme(f, 1, 5, 1, {"A1": a2, "B1": b2})
     r1 = entropic_oracle_edge(inst, small, (1, 1))
     r2 = entropic_oracle_edge(inst, padded, (1, 1))
     assert r1.status == r2.status == "fail"
@@ -538,7 +641,7 @@ def test_oracle_wide_signals_keep_residues_above_255():
     f = PrimeField(257)
     a = (FieldMatrix([[1], [0], [0], [0]], f), zeros(4, 1, f))
     b = (zeros(4, 1, f), zeros(4, 1, f))
-    scheme = LinearScheme(f, 1, 1, 4, {"A1": a, "B1": b})
+    scheme = precoder_scheme(f, 1, 1, 4, {"A1": a, "B1": b})
     res = entropic_oracle_edge(inst, scheme, (1, 1))
     assert res.passed and res.states == 257
     # the same signals leak the secret on an unqualified edge; the
@@ -553,8 +656,8 @@ def _oracle_by_enumeration(scheme, kind):
     state, with the failing signal pair that is least in base-p key order
     (the key of a pair is sum(value[c] * p**c), A1's values first)."""
     p, L, N = scheme.field.p, scheme.L, scheme.N
-    f = scheme.f_of("A1").to_lists() + scheme.f_of("B1").to_lists()
-    h = scheme.h_of("A1").to_lists() + scheme.h_of("B1").to_lists()
+    f = scheme.f_of("A1").tolist() + scheme.f_of("B1").tolist()
+    h = scheme.h_of("A1").tolist() + scheme.h_of("B1").tolist()
     ref = [c for c in range(scheme.L_Z) if any(row[c] for row in h)]
     secrets = list(itertools.product(range(p), repeat=L))
     hz = [[sum(row[c] * v for c, v in zip(ref, z)) for row in h] for z in itertools.product(range(p), repeat=len(ref))]
@@ -597,7 +700,7 @@ def _traced_oracle(kind, scheme):
 def _large_modulus_scheme(p, f_a, h_a, f_b, h_b):
     f = PrimeField(p)
     node = lambda sec, noise: (FieldMatrix([[v] for v in sec], f), FieldMatrix([[v] for v in noise], f))  # noqa: E731
-    return LinearScheme(f, 1, 1, len(f_a), {"A1": node(f_a, h_a), "B1": node(f_b, h_b)})
+    return precoder_scheme(f, 1, 1, len(f_a), {"A1": node(f_a, h_a), "B1": node(f_b, h_b)})
 
 
 @pytest.mark.parametrize(
@@ -656,7 +759,7 @@ def test_oracle_matches_dict_enumeration(edge):
         # a masked secret enters only through the noise, F = H @ mix
         sec = h @ mix if masked else rng.integers(0, p, size=(N, L)) * (rng.random((N, L)) < 0.3)
         precoders[node] = (FieldMatrix(sec, f), FieldMatrix(h, f))
-    scheme = LinearScheme(f, L, L_Z, N, precoders)
+    scheme = precoder_scheme(f, L, L_Z, N, precoders)
     res = entropic_oracle_edge(_two_node_instance(kind), scheme, (1, 1))
     assert (res.status, res.states, res.counterexample) == _oracle_by_enumeration(scheme, kind)
 
@@ -768,7 +871,7 @@ def oracle_schemes(draw):
             f = FieldMatrix(h @ mix, field)
         pool.append((f, FieldMatrix(h, field)))
     picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=len(nodes), max_size=len(nodes)))
-    return inst, LinearScheme(field, L, L_Z, N, {node: pool[i] for node, i in zip(nodes, picks)})
+    return inst, precoder_scheme(field, L, L_Z, N, {node: pool[i] for node, i in zip(nodes, picks)})
 
 
 @given(oracle_schemes())
@@ -796,7 +899,7 @@ def test_rank_deficient_noise_edge_matches_oracle(kind):
     # of the two first ones, and W F = [1; 0] reveals s
     f = PrimeField(2)
     a1 = (FieldMatrix([[0], [1]], f), FieldMatrix([[1, 0], [0, 0]], f))
-    scheme = LinearScheme(f, 1, 2, 2, {"A1": a1, "B1": (zeros(2, 1, f), identity(2, f))})
+    scheme = precoder_scheme(f, 1, 2, 2, {"A1": a1, "B1": (zeros(2, 1, f), identity(2, f))})
     inst = _two_node_instance(kind)
     report = verify_linear(inst, scheme)
     edge = {r.kind: r for r in report.records if r.subject == "A1-B1"}
@@ -854,7 +957,7 @@ def test_oracle_counts_sparsely():
     noise_b[16] = [1, 0]
     a = (FieldMatrix(sec, f), FieldMatrix(noise_a, f))
     b = (zeros(17, 16, f), FieldMatrix(noise_b, f))
-    scheme = LinearScheme(f, 16, 2, 17, {"A1": a, "B1": b})
+    scheme = precoder_scheme(f, 16, 2, 17, {"A1": a, "B1": b})
     res = entropic_oracle_edge(_two_node_instance("qualified"), scheme, (1, 1))
     assert res.passed and res.states == 2**18
     # 2^16 secrets and 4 noise states: table rows gathered per secret
@@ -901,7 +1004,7 @@ def test_simulate_broken_scheme_fails_sometimes():
 def test_simulate_secret_longer_than_both_signals(h):
     # L = 3 > 2N = 2: no edge decodes, and no decoder of L rows exists
     f = PrimeField(3)
-    scheme = LinearScheme(f, 3, 2, 1, {n: (FieldMatrix([[1, 2, 0]], f), FieldMatrix(h, f)) for n in ("A1", "B1")})
+    scheme = precoder_scheme(f, 3, 2, 1, {n: (FieldMatrix([[1, 2, 0]], f), FieldMatrix(h, f)) for n in ("A1", "B1")})
     (sim,) = simulate(_two_node_instance("qualified"), scheme, seed=0, trials=10).edges
     assert (sim.decodable, sim.decode_successes) == (False, 0)
 
