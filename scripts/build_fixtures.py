@@ -54,7 +54,17 @@ def precoder_scheme(field: PrimeField, L: int, L_Z: int, N: int, precoders: dict
     nodes = tuple(sorted(precoders, key=node_key))
     f = np.array([precoders[v][0].array for v in nodes], dtype=np.int64).reshape(len(nodes), N, L)
     h = np.array([precoders[v][1].array for v in nodes], dtype=np.int64).reshape(len(nodes), N, L_Z)
-    return LinearScheme(field, L, L_Z, N, nodes, f, h, name)
+    return LinearScheme(field=field, L=L, L_Z=L_Z, N=N, nodes=nodes, F=f, H=h, name=name)
+
+
+def f_of(scheme: LinearScheme, node: str) -> np.ndarray:
+    """F_node, a read-only slice of the scheme's F stack."""
+    return scheme.F[scheme.nodes.index(node)]
+
+
+def h_of(scheme: LinearScheme, node: str) -> np.ndarray:
+    """H_node, a read-only slice of the scheme's H stack."""
+    return scheme.H[scheme.nodes.index(node)]
 
 
 def _rows(field: PrimeField, rows: list[list[int]]) -> FieldMatrix:
@@ -185,7 +195,7 @@ def build_fig2_scheme() -> LinearScheme:
 
 def _check_fig2_fragments(inst, scheme) -> None:
     field = scheme.field
-    h = {node: FieldMatrix(scheme.h_of(node), field) for node in ("A3", "B3", "B2")}
+    h = {node: FieldMatrix(h_of(scheme, node), field) for node in ("A3", "B3", "B2")}
     inter = rowspace_intersection(h["A3"], h["B3"])
     frag = _rows(
         field,
@@ -200,11 +210,11 @@ def _check_fig2_fragments(inst, scheme) -> None:
     inter2 = rowspace_intersection(h["A3"], h["B2"])
     frag2 = _rows(field, [[1, 1, 0, 0, 0, 0, 0, 0, 0], [0, 0, 0, 0, 1, 0, 0, 0, 0]])
     assert inter2.basis == rank_rref(frag2).rref.take_rows(range(2)), "A3/B2 overlap is not span(z1+z2, z5)"
-    assert scheme.f_of("A3").tolist()[0] == [1, 1, 0, 0]
-    assert scheme.f_of("A3").tolist()[2] == [0, 0, 1, 1]
-    assert scheme.f_of("B2").tolist()[0] == [1, 1, 0, 0]
-    assert scheme.f_of("B2").tolist()[1] == [0, 0, 1, 1]
-    diff = np.mod(scheme.f_of("A3") - scheme.f_of("B3"), field.p).tolist()
+    assert f_of(scheme, "A3").tolist()[0] == [1, 1, 0, 0]
+    assert f_of(scheme, "A3").tolist()[2] == [0, 0, 1, 1]
+    assert f_of(scheme, "B2").tolist()[0] == [1, 1, 0, 0]
+    assert f_of(scheme, "B2").tolist()[1] == [0, 0, 1, 1]
+    diff = np.mod(f_of(scheme, "A3") - f_of(scheme, "B3"), field.p).tolist()
     assert diff[0] == [2, 1, 0, 0] and diff[1] == [0, 0, 0, 1]
     assert diff[2] == [0, 0, 1, 1] and diff[3] == [1, 0, 0, 0]
 
@@ -347,7 +357,7 @@ def build_broken(fig2_scheme: LinearScheme) -> tuple[LinearScheme, LinearScheme]
     # garbled: make A1's z4 slot equal B1's so the qualified edge (1,1)
     # loses a decoding dimension
     delta = np.mod(
-        fig2_scheme.f_of("B1")[1] - fig2_scheme.f_of("A1")[0], fig2_scheme.field.p
+        f_of(fig2_scheme, "B1")[1] - f_of(fig2_scheme, "A1")[0], fig2_scheme.field.p
     )
     garbled = _perturb(fig2_scheme, "A1", 0, delta.tolist(), "broken-garbled")
     rep = cc.verify_linear(inst, garbled)

@@ -137,21 +137,39 @@ def classify_linear_capacity(inst: CdsInstance) -> Verdict:
     bound, witness = linear_converse_bound(inst)
     comps = qualified_components(inst)
     if witness is not None and all(c.kind in ("path", "cycle") for c in comps):
-        reason = "every qualified component is a path or cycle, so the converse bound is achievable"
-        return Verdict("exact", bound, reason)
+        return Verdict(
+            kind="exact",
+            value=bound,
+            reason="every qualified component is a path or cycle, so the converse bound is achievable",
+        )
     for entry in catalog.known_results():
         if not color_isomorphic(inst, catalog.builtin_instance(entry.name)):
             continue
         if entry.exact_capacity is not None:
-            reason = f"isomorphic to catalog instance {entry.name!r} with a known capacity proof"
-            return Verdict("exact", entry.exact_capacity, reason)
+            return Verdict(
+                kind="exact",
+                value=entry.exact_capacity,
+                reason=f"isomorphic to catalog instance {entry.name!r} with a known capacity proof",
+            )
         best = entry.best_scheme_rate()
         if best is not None and best == bound:
-            return Verdict("exact", bound, f"a catalog scheme for {entry.name!r} achieves the converse bound")
+            return Verdict(
+                kind="exact",
+                value=bound,
+                reason=f"a catalog scheme for {entry.name!r} achieves the converse bound",
+            )
         if entry.open or (best is not None and best < bound):
-            reason = f"isomorphic to catalog instance {entry.name!r} whose linear capacity is open"
-            return Verdict("bounded-above", bound, reason, is_open=True)
-    return Verdict("bounded-above", bound, "no matching achievability result; covering bound only")
+            return Verdict(
+                kind="bounded-above",
+                value=bound,
+                reason=f"isomorphic to catalog instance {entry.name!r} whose linear capacity is open",
+                is_open=True,
+            )
+    return Verdict(
+        kind="bounded-above",
+        value=bound,
+        reason="no matching achievability result; covering bound only",
+    )
 
 
 # -- randomized scheme search --------------------------------------------------------
@@ -307,4 +325,5 @@ def _solve_alignment(
     h = np.zeros((len(nodes), N, L_Z), dtype=np.int64)
     h[np.arange(len(nodes))[:, None], np.arange(N), cols] = 1
     name = f"search-{inst.name}" if inst.name else "search"
-    return LinearScheme(field, L, L_Z, N, tuple(nodes), coeffs[cls].reshape(len(nodes), N, L), h, name)
+    f = coeffs[cls].reshape(len(nodes), N, L)
+    return LinearScheme(field=field, L=L, L_Z=L_Z, N=N, nodes=tuple(nodes), F=f, H=h, name=name)

@@ -130,7 +130,11 @@ def cmd_rho(args) -> int:
 def cmd_bound(args) -> int:
     inst = _load_instance(args.instance)
     bound, witness = linear_converse_bound(inst)
-    _emit(args, {"bound": _frac(bound), "witness": _witness_json(witness)}, _frac(bound))
+    _emit(
+        args,
+        {"bound": _frac(bound), "witness": _witness_json(witness)},
+        _frac(bound),
+    )
     return OK
 
 
@@ -217,7 +221,15 @@ def cmd_verify(args) -> int:
 
 def cmd_search(args) -> int:
     inst = _load_instance(args.instance)
-    scheme = random_scheme_search(inst, args.p, args.L, args.N, args.Lz, seed=args.seed, budget=args.budget)
+    scheme = random_scheme_search(
+        inst,
+        p=args.p,
+        L=args.L,
+        N=args.N,
+        L_Z=args.Lz,
+        seed=args.seed,
+        budget=args.budget,
+    )
     if scheme is None:
         _emit(args, {"found": False}, "no scheme found within budget")
         return FAIL

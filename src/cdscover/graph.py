@@ -130,19 +130,9 @@ def reach_mask(adj: Sequence[int], start: int, within: int) -> int:
 def components(adj: Sequence[int], within: int) -> list[int]:
     """The components, as node bitmasks, of the graph ``adj`` (a neighbour
     bitmask per node) on the nodes of the mask ``within``, listed by least
-    node; a node with no neighbour in ``within`` is a component of its own.
-    A narrow mask loses one component at a time to low-bit operations as wide
-    as the mask; one past 512 bits is read in one scan of its bits, so that
-    the many lone nodes of a sparse graph do not cost a wide operation each."""
-    found, seen = [], 0  # ``seen``: the nodes of the multi-node components found
-    if within.bit_length() > 512:
-        for i, bit in enumerate(bin(within)[:1:-1]):  # bit i of ``within`` at index i
-            if bit == "1" and not seen >> i & 1:
-                found.append(1 << i)
-                if adj[i] & within:
-                    found[-1] = reach_mask(adj, found[-1], within)
-                    seen |= found[-1]
-        return found
+    node; a node with no neighbour in ``within`` is a component of its own,
+    taken off without growing it."""
+    found = []
     while within:
         low = within & -within
         found.append(reach_mask(adj, low, within) if adj[low.bit_length() - 1] & within else low)

@@ -31,8 +31,9 @@ class SchemeError(ValueError):
 class LinearScheme:
     """The global parameters (p, L, L_Z, N) and every node's precoders as int64
     stacks of canonical residues: ``F[i]`` (N x L) and ``H[i]`` (N x L_Z) are
-    those of ``nodes[i]``, and the nodes run in ``node_key`` order. The stacks
-    are kept as read-only views."""
+    those of ``nodes[i]``, and the nodes run in ``node_key`` order. Each stack
+    is the scheme's own read-only copy, its entries reduced mod p as a
+    ``FieldMatrix`` reduces its own."""
 
     field: PrimeField
     L: int
@@ -45,7 +46,9 @@ class LinearScheme:
 
     def __post_init__(self) -> None:
         for key in ("F", "H"):
-            stack = np.asarray(getattr(self, key), dtype=np.int64).view()
+            stack = np.array(getattr(self, key), dtype=np.int64)
+            if stack.size and (stack.min() < 0 or stack.max() >= self.field.p):
+                np.mod(stack, self.field.p, out=stack)
             stack.flags.writeable = False
             object.__setattr__(self, key, stack)
 
@@ -55,12 +58,6 @@ class LinearScheme:
         return (self.field, self.L, self.L_Z, self.N, self.nodes, self.name) == (
             other.field, other.L, other.L_Z, other.N, other.nodes, other.name
         ) and np.array_equal(self.F, other.F) and np.array_equal(self.H, other.H)
-
-    def f_of(self, node: str) -> np.ndarray:
-        return self.F[self.nodes.index(node)]
-
-    def h_of(self, node: str) -> np.ndarray:
-        return self.H[self.nodes.index(node)]
 
     def check_shapes(self) -> None:
         for key, stack, cols in (("F", self.F, self.L), ("H", self.H, self.L_Z)):
@@ -188,7 +185,7 @@ def parse_scheme(text: str) -> LinearScheme:
         order = range(len(names))
     if any(i != k for k, i in enumerate(order)):
         f, h, names = f[order], h[order], [names[i] for i in order]
-    return LinearScheme(fld, L, L_Z, N, tuple(names), f, h, name)
+    return LinearScheme(field=fld, L=L, L_Z=L_Z, N=N, nodes=tuple(names), F=f, H=h, name=name)
 
 
 @functools.lru_cache(maxsize=16)
@@ -231,7 +228,13 @@ class CheckRecord:
     detail: str = ""
 
     def to_json(self) -> dict:
-        return dict(vars(self))  # the fields, in order
+        return {
+            "subject": self.subject,
+            "kind": self.kind,
+            "passed": self.passed,
+            "overlap_dim": self.overlap_dim,
+            "detail": self.detail,
+        }
 
 
 @dataclass(frozen=True)
@@ -287,11 +290,36 @@ def verify_linear(inst: CdsInstance, scheme: LinearScheme) -> VerificationReport
     for ((x, y), kind), d, r in zip(edges, dims.tolist(), ranks.tolist()):
         subject = f"{a_node(x)}-{b_node(y)}"
         if kind == "qualified":
-            records.append(CheckRecord(subject, "qualified", r == L, d, f"rank(PvFv - PuFu)={r}, L={L}"))
-            records.append(CheckRecord(subject, "noise-alignment", d >= L, d, f"overlap dim {d} vs L={L}"))
+            records.append(
+                CheckRecord(
+                    subject=subject,
+                    kind="qualified",
+                    passed=r == L,
+                    overlap_dim=d,
+                    detail=f"rank(PvFv - PuFu)={r}, L={L}",
+                )
+            )
+            records.append(
+                CheckRecord(
+                    subject=subject,
+                    kind="noise-alignment",
+                    passed=d >= L,
+                    overlap_dim=d,
+                    detail=f"overlap dim {d} vs L={L}",
+                )
+            )
         else:
-            detail = f"secret projections {'agree' if r == 0 else 'differ'} on the noise overlap"
-            records.append(CheckRecord(subject, "unqualified", r == 0, d, detail))
+            records.append(
+                CheckRecord(
+                    subject=subject,
+                    kind="unqualified",
+                    passed=r == 0,
+                    overlap_dim=d,
+                    detail="secret projections agree on the noise overlap"
+                    if r == 0
+                    else "secret projections differ on the noise overlap",
+                )
+            )
     return VerificationReport(tuple(records))
 
 
@@ -362,7 +390,14 @@ class OracleResult:
         return self.status == "fail"
 
     def to_json(self) -> dict:
-        return {**vars(self), "edge": list(self.edge)}  # the fields, in order
+        return {
+            "edge": list(self.edge),
+            "kind": self.kind,
+            "status": self.status,
+            "states": self.states,
+            "detail": self.detail,
+            "counterexample": self.counterexample,
+        }
 
 
 DEFAULT_ORACLE_BUDGET = 10_000_000
@@ -487,8 +522,13 @@ def _edge_oracle(inst: CdsInstance, scheme: LinearScheme, edge: tuple[int, int],
     m = len(ref_cols)
     states = p ** (scheme.L + m)
     if states > budget:
-        detail = f"p^(L+m) = {p}^{scheme.L + m} = {states} exceeds budget {budget}"
-        return OracleResult(edge, kind, "not-checked", states, detail)
+        return OracleResult(
+            edge=edge,
+            kind=kind,
+            status="not-checked",
+            states=states,
+            detail=f"p^(L+m) = {p}^{scheme.L + m} = {states} exceeds budget {budget}",
+        )
     secrets = _all_tuples(p, scheme.L)
     hz = _noise_parts(h_stack[:, ref_cols], p)  # the distinct noise parts, each from mult of the p^m assignments
     mult = p**m // len(hz)
@@ -545,7 +585,14 @@ class EdgeSimulation:
         return self.decode_successes / self.trials
 
     def to_json(self) -> dict:
-        return {**vars(self), "edge": list(self.edge), "success_frequency": self.success_frequency}
+        return {
+            "edge": list(self.edge),
+            "kind": self.kind,
+            "trials": self.trials,
+            "decode_successes": self.decode_successes,
+            "decodable": self.decodable,
+            "success_frequency": self.success_frequency,
+        }
 
 
 @dataclass(frozen=True)
@@ -555,7 +602,11 @@ class SimulationReport:
     edges: tuple[EdgeSimulation, ...]
 
     def to_json(self) -> dict:
-        return {**vars(self), "edges": [e.to_json() for e in self.edges]}
+        return {
+            "trials": self.trials,
+            "seed": self.seed,
+            "edges": [e.to_json() for e in self.edges],
+        }
 
 
 def simulate(inst: CdsInstance, scheme: LinearScheme, seed: int, trials: int) -> SimulationReport:

@@ -137,7 +137,7 @@ class SynthesisPlan:
                     else:
                         f[i, r] = np.mod(k * self.cauchy.array[idx - 1], self.field.p)
         name = f"synth-{self.instance.name}" if self.instance.name else "synth"
-        return LinearScheme(self.field, self.L, self.L_Z, self.N, tuple(nodes), f, h, name)
+        return LinearScheme(field=self.field, L=self.L, L_Z=self.L_Z, N=self.N, nodes=tuple(nodes), F=f, H=h, name=name)
 
 
 def synthesize_plan(inst: CdsInstance) -> SynthesisPlan:
@@ -177,7 +177,16 @@ def synthesize_plan(inst: CdsInstance) -> SynthesisPlan:
     for comp in comps:
         plans.append(plan_component(inst, comp, rho_value, offset))
         offset += len(plans[-1].holders)
-    plan = SynthesisPlan(inst, rho_value, field, L, N, offset, cauchy, tuple(plans))
+    plan = SynthesisPlan(
+        instance=inst,
+        rho_value=rho_value,
+        field=field,
+        L=L,
+        N=N,
+        L_Z=offset,
+        cauchy=cauchy,
+        components=tuple(plans),
+    )
     _structural_certificate(plan)
     return plan
 

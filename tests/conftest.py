@@ -2,12 +2,16 @@
 
 from __future__ import annotations
 
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 import cdscover as cc
 from cdscover.fields import FieldMatrix, PrimeField
 
+FIXTURE_SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "build_fixtures.py"
 
 @pytest.fixture(scope="session")
 def catalog_instances():
@@ -75,19 +79,18 @@ def tiny_oracle_instances():
     ]
 
 
-def precoder_scheme(field: PrimeField, L: int, L_Z: int, N: int, precoders: dict, name: str = "") -> cc.LinearScheme:
-    """The scheme whose node v has the ``FieldMatrix`` pair ``precoders[v]``
-    = (F_v, H_v), its nodes put in node_key order."""
-    nodes = tuple(sorted(precoders, key=cc.graph.node_key))
-    f = np.array([precoders[v][0].array for v in nodes], dtype=np.int64).reshape(len(nodes), N, L)
-    h = np.array([precoders[v][1].array for v in nodes], dtype=np.int64).reshape(len(nodes), N, L_Z)
-    return cc.LinearScheme(field, L, L_Z, N, nodes, f, h, name)
+# scripts/build_fixtures.py builds its schemes from {node: (F, H)} pairs and
+# reads them back per node; the tests share those helpers with it
+_spec = importlib.util.spec_from_file_location("build_fixtures", FIXTURE_SCRIPT)
+build_fixtures = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(build_fixtures)
+precoder_scheme, f_of, h_of = build_fixtures.precoder_scheme, build_fixtures.f_of, build_fixtures.h_of
 
 
 def precoders_of(scheme: cc.LinearScheme) -> dict[str, tuple[FieldMatrix, FieldMatrix]]:
     """The scheme's {node: (F, H)} pairs, the inverse of ``precoder_scheme``."""
     field = scheme.field
-    return {v: (FieldMatrix(scheme.f_of(v), field), FieldMatrix(scheme.h_of(v), field)) for v in scheme.nodes}
+    return {v: (FieldMatrix(f_of(scheme, v), field), FieldMatrix(h_of(scheme, v), field)) for v in scheme.nodes}
 
 
 def zeros(rows: int, cols: int, field: PrimeField) -> FieldMatrix:

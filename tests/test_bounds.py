@@ -1,10 +1,8 @@
 import collections
 import functools
 import hashlib
-import importlib.util
 import operator
 from fractions import Fraction
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,9 +24,7 @@ from cdscover.fields import FieldMatrix, PrimeField
 from cdscover.graph import CdsInstance, a_node, b_node
 from cdscover.linalg import nullspace, residue_rank
 from cdscover.scheme import LinearScheme, serialize_scheme
-from conftest import precoder_scheme
-
-FIXTURE_SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "build_fixtures.py"
+from conftest import build_fixtures, f_of, precoder_scheme
 
 
 def test_bound_values(catalog_instances):
@@ -671,10 +667,7 @@ def test_search_validates_parameters(catalog_instances):
 
 @pytest.fixture(scope="module")
 def fixture_script():
-    spec = importlib.util.spec_from_file_location("build_fixtures", FIXTURE_SCRIPT)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+    return build_fixtures
 
 
 def test_solve_scheme_for_noise_with_pins(fixture_script):
@@ -692,9 +685,9 @@ def test_solve_scheme_for_noise_with_pins(fixture_script):
         pinned_diffs=[],
     )
     assert scheme is not None
-    assert scheme.f_of("A1").tolist()[0] == [1, 2]
+    assert f_of(scheme, "A1").tolist()[0] == [1, 2]
     # full overlap forces equal secret precoders
-    assert np.array_equal(scheme.f_of("A1"), scheme.f_of("B1"))
+    assert np.array_equal(f_of(scheme, "A1"), f_of(scheme, "B1"))
     assert cc.verify_linear(inst, scheme).overall
 
 
@@ -731,7 +724,7 @@ def test_solve_scheme_for_noise_zeroes_edgeless_nodes(fixture_script):
         pinned_diffs=[],
     )
     assert scheme is not None
-    assert scheme.f_of("A2").tolist() == [[0], [0]]
-    assert scheme.f_of("A1").tolist()[0] == [1]
-    assert not np.array_equal(scheme.f_of("A1"), scheme.f_of("B1"))
+    assert f_of(scheme, "A2").tolist() == [[0], [0]]
+    assert f_of(scheme, "A1").tolist()[0] == [1]
+    assert not np.array_equal(f_of(scheme, "A1"), f_of(scheme, "B1"))
     assert cc.verify_linear(inst, scheme).overall

@@ -8,6 +8,7 @@ import pytest
 import cdscover as cc
 from cdscover.fields import FieldMatrix, PrimeField
 from cdscover.linalg import rank_rref, rowspace_intersection
+from conftest import f_of, h_of
 
 
 def test_unknown_names_rejected():
@@ -90,7 +91,7 @@ def test_fig2_scheme_reproduces_published_fragments():
     overlap is (z1+z2; z5) and both project to (s1+s2; s3+s4).
     """
     scheme = cc.catalog.builtin_scheme("fig2-rate-2-5")
-    h = {node: FieldMatrix(scheme.h_of(node), scheme.field) for node in ("A3", "B3", "B2")}
+    h = {node: FieldMatrix(h_of(scheme, node), scheme.field) for node in ("A3", "B3", "B2")}
     inter = rowspace_intersection(h["A3"], h["B3"])
     frag = _fm(
         [
@@ -105,11 +106,11 @@ def test_fig2_scheme_reproduces_published_fragments():
     inter2 = rowspace_intersection(h["A3"], h["B2"])
     frag2 = _fm([[1, 1, 0, 0, 0, 0, 0, 0, 0], [0, 0, 0, 0, 1, 0, 0, 0, 0]], 3)
     assert inter2.basis == rank_rref(frag2).rref
-    assert scheme.f_of("A3").tolist()[0] == [1, 1, 0, 0]
-    assert scheme.f_of("A3").tolist()[2] == [0, 0, 1, 1]
-    assert scheme.f_of("B2").tolist()[0] == [1, 1, 0, 0]
-    assert scheme.f_of("B2").tolist()[1] == [0, 0, 1, 1]
-    diff = (FieldMatrix(scheme.f_of("A3"), scheme.field) - FieldMatrix(scheme.f_of("B3"), scheme.field)).to_lists()
+    assert f_of(scheme, "A3").tolist()[0] == [1, 1, 0, 0]
+    assert f_of(scheme, "A3").tolist()[2] == [0, 0, 1, 1]
+    assert f_of(scheme, "B2").tolist()[0] == [1, 1, 0, 0]
+    assert f_of(scheme, "B2").tolist()[1] == [0, 0, 1, 1]
+    diff = (FieldMatrix(f_of(scheme, "A3"), scheme.field) - FieldMatrix(f_of(scheme, "B3"), scheme.field)).to_lists()
     assert diff[0] == [2, 1, 0, 0]  # -s1+s2 over F_3
     assert diff[1] == [0, 0, 0, 1]
     assert diff[2] == [0, 0, 1, 1]
@@ -123,7 +124,7 @@ def test_fig8_scheme_noise_structure():
     assert scheme.L_Z == 13
     atoms = {}
     for node in inst.nodes():
-        h = scheme.h_of(node)
+        h = h_of(scheme, node)
         assert sorted(h.sum(axis=1)) == [1] * 9  # one unit per row
         atoms[node] = {int(c) for c in h.argmax(axis=1)}
     for x, y in inst.qualified:

@@ -502,8 +502,8 @@ def _set_components(adj, within):
 @settings(max_examples=40, deadline=None)
 @given(st.integers(1, 1500), st.integers(0, 2**32 - 1), st.sampled_from((0.0, 0.05, 0.5, 2.0)), st.booleans())
 def test_components_match_set_reference_on_wide_masks(n, seed, degree, everything):
-    # up to 1500 nodes, mostly lone, so masks run past the 512 bits at which
-    # components switches from low-bit operations to one scan of the mask
+    # up to 1500 nodes, mostly lone, so most components are taken off without
+    # being grown
     rng = random.Random(seed)
     adj = {i: set() for i in range(n)}
     for _ in range(int(degree * n)):
@@ -518,8 +518,8 @@ def test_components_match_set_reference_on_wide_masks(n, seed, degree, everythin
 
 @pytest.mark.parametrize("side, qualified", [(20000, 0), (3000, 400), (3000, 3000), (300, 250)])
 def test_qualified_components_match_set_reference_on_sparse_instances(side, qualified):
-    # the edgeless 20000x20000 instance has 40000 one-node components, each
-    # once taken off by wide mask operations, which made the split quadratic
+    # the edgeless 20000x20000 instance has 40000 one-node components, none
+    # of which needs a reachability walk
     rng = random.Random(side + qualified)
     pairs = {(rng.randint(1, side), rng.randint(1, side)) for _ in range(qualified)}
     inst = CdsInstance("sparse", side, side, frozenset(pairs), frozenset())

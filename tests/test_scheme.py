@@ -33,6 +33,8 @@ from cdscover.scheme import (
 )
 
 from conftest import (
+    f_of,
+    h_of,
     identity,
     precoder_scheme,
     precoders_of,
@@ -81,7 +83,7 @@ def schemes(draw):
 @settings(max_examples=150, deadline=None)
 def test_serialize_scheme_is_json_dumps_indent_2(s):
     order = sorted(s.nodes, key=lambda node: (node[0], int(node[1:])))
-    nodes = {node: {"F": s.f_of(node).tolist(), "H": s.h_of(node).tolist()} for node in order}
+    nodes = {node: {"F": f_of(s, node).tolist(), "H": h_of(s, node).tolist()} for node in order}
     obj = {"name": s.name, "p": s.field.p, "L": s.L, "Lz": s.L_Z, "N": s.N, "nodes": nodes}
     text = serialize_scheme(s)
     assert text == json.dumps(obj, indent=2) + "\n"
@@ -227,7 +229,7 @@ def test_field_size_guard_keeps_products_exact():
                 parse_scheme(text)
             continue
         scheme = parse_scheme(text)
-        f = FieldMatrix(scheme.f_of("A1"), scheme.field)
+        f = FieldMatrix(f_of(scheme, "A1"), scheme.field)
         assert (FieldMatrix([[p - 1] * 2], f.field) @ FieldMatrix([[p - 1]] * 2, f.field)).to_lists() == [[2]]
     with pytest.raises(ValueError, match="overflow int64"):
         cc.random_scheme_search(cc.catalog.builtin_instance("fig2"), 3037000493, 4, 1, 1, seed=0, budget=1)
@@ -247,6 +249,23 @@ def test_verify_requires_matching_shapes():
     shuffled = LinearScheme(s.field, s.L, s.L_Z, s.N, s.nodes[::-1], s.F[::-1], s.H[::-1], s.name)
     with pytest.raises(SchemeError, match=r"^scheme nodes \['B3', 'B2', .*, 'A1'\] are not in node order$"):
         verify_linear(cc.catalog.builtin_instance("fig2"), shuffled)
+
+
+def test_scheme_keeps_canonical_residues_in_its_own_stacks():
+    # a direct constructor call may pass any ints, as a FieldMatrix may: the
+    # scheme reduces them mod p, so the file it writes parses back to it
+    field, inst = PrimeField(5), CdsInstance("pair", 1, 1, frozenset({(1, 1)}), frozenset())
+    f_in, h_in = np.array([[[5, -1]], [[7, 2]]]), np.array([[[1, 10]], [[0, 1]]])
+    scheme = LinearScheme(field=field, L=2, L_Z=2, N=1, nodes=("A1", "B1"), F=f_in, H=h_in)
+    assert scheme.F.tolist() == [[[0, 4]], [[2, 2]]] and scheme.H.tolist() == [[[1, 0]], [[0, 1]]]
+    assert parse_scheme(serialize_scheme(scheme)) == scheme
+    assert verify_linear(inst, scheme) == verify_linear(inst, parse_scheme(serialize_scheme(scheme)))
+    # the stacks are the scheme's own, whether or not they needed reducing
+    h_ok = np.array([[[1, 0]], [[0, 1]]])
+    kept = LinearScheme(field=field, L=2, L_Z=2, N=1, nodes=("A1", "B1"), F=scheme.F, H=h_ok)
+    f_in[0, 0, 0] = h_in[0, 0, 0] = h_ok[0, 0, 0] = 3
+    assert scheme.F[0, 0, 0] == 0 and scheme.H[0, 0, 0] == 1 and kept.H[0, 0, 0] == 1
+    assert not scheme.F.flags.writeable and not kept.H.flags.writeable
 
 
 def test_verify_fixture_passes():
@@ -314,14 +333,14 @@ def _reference_verify(inst, scheme):
     p, L, N = scheme.field.p, scheme.L, scheme.N
     records = []
     for node in inst.nodes():
-        r = residue_rank(scheme.h_of(node), p)
+        r = residue_rank(h_of(scheme, node), p)
         records.append(CheckRecord(node, "noise-rank", r == N, detail=f"rank(H)={r}, N={N}"))
     for (x, y), kind in inst.edges_with_kind():
         va, vb = a_node(x), b_node(y)
-        h_v, h_u = scheme.h_of(va), scheme.h_of(vb)
+        h_v, h_u = h_of(scheme, va), h_of(scheme, vb)
         h = np.vstack([h_v, h_u])
         w = nullspace(FieldMatrix(h.T, scheme.field)).array
-        wf = np.mod(w @ np.vstack([scheme.f_of(va), scheme.f_of(vb)]), p)
+        wf = np.mod(w @ np.vstack([f_of(scheme, va), f_of(scheme, vb)]), p)
         d = residue_rank(h_v, p) + residue_rank(h_u, p) - residue_rank(h, p)
         subject = f"{va}-{vb}"
         if kind == "qualified":
@@ -656,8 +675,8 @@ def _oracle_by_enumeration(scheme, kind):
     state, with the failing signal pair that is least in base-p key order
     (the key of a pair is sum(value[c] * p**c), A1's values first)."""
     p, L, N = scheme.field.p, scheme.L, scheme.N
-    f = scheme.f_of("A1").tolist() + scheme.f_of("B1").tolist()
-    h = scheme.h_of("A1").tolist() + scheme.h_of("B1").tolist()
+    f = f_of(scheme, "A1").tolist() + f_of(scheme, "B1").tolist()
+    h = h_of(scheme, "A1").tolist() + h_of(scheme, "B1").tolist()
     ref = [c for c in range(scheme.L_Z) if any(row[c] for row in h)]
     secrets = list(itertools.product(range(p), repeat=L))
     hz = [[sum(row[c] * v for c, v in zip(ref, z)) for row in h] for z in itertools.product(range(p), repeat=len(ref))]
