@@ -2,9 +2,11 @@
 
 Entries are always stored as canonical residues in [0, p), so two matrices
 are equal iff their integer payloads are equal and file round-trips are
-bit-exact. All arithmetic is int64 numpy, so a sum of k products of
+bit-exact. Arithmetic here is int64 numpy, so a sum of k products of
 residues is exact only while (p-1)^2 * k < 2^63; ``scheme.check_field_size``
-refuses larger moduli for scheme files and searches.
+refuses larger moduli for scheme files and searches. ``linalg.mod_matmul``
+runs products in float64 where that is exact too (its docstring has the
+rule).
 """
 
 from __future__ import annotations

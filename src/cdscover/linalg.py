@@ -1,12 +1,16 @@
 """Exact linear algebra over prime fields.
 
-Everything here rests on one Gauss-Jordan kernel, ``batch_rref``, which
-reduces a stack of int64 matrices mod p; a single matrix is reduced as a
-stack of one. The verifiers call it directly, the search calls
-``residue_rank``, and synthesis builds on Cauchy matrices (every square
-submatrix invertible). RREF with pivots or a carried transform, the null
-space and row-space intersection with explicit coefficient matrices serve
-``scripts/build_fixtures.py`` and the tests; the package does not call them.
+Two kernels do the work: one elimination kernel, ``batch_rref``, a
+Gauss-Jordan pass that reduces a stack of int64 matrices mod p (a single
+matrix is a stack of one), and one product kernel, ``mod_matmul``, which
+multiplies stacks of residues mod p in float64 where that is exact and in
+int64 otherwise; its docstring states the 2^53 rule. The linear verifier
+calls ``batch_rref`` directly, ``simulate`` calls both kernels, the search
+calls ``residue_rank``, and synthesis builds on Cauchy matrices (every
+square submatrix invertible). RREF with pivots or a carried transform, the
+null space and row-space intersection with explicit coefficient matrices
+serve ``scripts/build_fixtures.py`` and the tests; the package does not
+call them.
 """
 
 from __future__ import annotations
@@ -32,6 +36,40 @@ def _inverses(x: np.ndarray, p: int) -> np.ndarray:
         if e:
             x = x * x % p
     return np.ones_like(x) if out is None else out
+
+
+def mod_matmul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
+    """``a @ b`` mod p for canonical residues, stacked as ``np.matmul``
+    allows; the result holds canonical residues in the dtype that ``a`` and
+    ``b`` promote to (int64 or float64, both of which hold every residue of
+    an accepted modulus exactly).
+
+    The 2^53 rule is stated here and nowhere else. With k the inner
+    dimension, each entry is a sum of k products of at most (p-1)^2. When
+    (p-1)^2 * k < 2^53 every partial sum is an integer that float64 holds
+    exactly, so the product runs through float64 BLAS and is exact in any
+    summation order, with or without FMA. Otherwise it runs in int64, which
+    ``scheme.check_field_size`` keeps exact.
+
+    The float path reduces each entry c with q = floor(c * fl(1/p)). Two
+    roundings leave c * fl(1/p) within (c/p) * 2^-52 * (1 + 2^-54) < 2/p of
+    c/p, so q is within 1 of floor(c/p), and above it only when c mod p is
+    p - 1. So q * p <= c + 1 <= 2^53 is exact, and so is c - q * p, which
+    lies in [-p, 2p) until one step each way makes it canonical.
+    """
+    dtype = np.result_type(a, b)
+    if (p - 1) ** 2 * a.shape[-1] >= 2**53:
+        out = np.matmul(a.astype(np.int64, copy=False), b.astype(np.int64, copy=False))
+        out %= p
+        return out.astype(dtype, copy=False)
+    out = np.matmul(a.astype(np.float64, copy=False), b.astype(np.float64, copy=False))
+    quot = out * (1.0 / p)
+    np.floor(quot, out=quot)
+    quot *= p
+    out -= quot
+    np.add(out, p, out=out, where=out < 0)
+    np.subtract(out, p, out=out, where=out >= p)
+    return out.astype(dtype, copy=False)
 
 
 def batch_rref(stack: np.ndarray, p: int, n_cols: int) -> np.ndarray:

@@ -20,7 +20,7 @@ import numpy as np
 
 from .fields import FieldError, PrimeField
 from .graph import CdsInstance, a_node, b_node, node_key
-from .linalg import batch_rref
+from .linalg import batch_rref, mod_matmul
 
 
 class SchemeError(ValueError):
@@ -204,16 +204,21 @@ def serialize_scheme(scheme: LinearScheme) -> str:
     """The scheme file: the bytes of ``json.dumps(obj, indent=2) + "\\n"``,
     nodes in the scheme's order.
 
-    The file has a fixed shape of ints and int rows, so it is written with
-    one %-format over the stacked entries; the standard encoder's indented
-    mode is pure Python and took longer than synthesizing the scheme.
+    The file has a fixed shape of ints and int rows, so each node's entry is
+    one %-format of its own F and H entries, and one join puts the pieces
+    together; the standard encoder's indented mode is pure Python and took
+    longer than synthesizing the scheme.
     """
-    n, N, L, L_Z = len(scheme.nodes), scheme.N, scheme.L, scheme.L_Z
-    ids, node = [json.dumps(v).replace("%", "%%") for v in scheme.nodes], _node_layout(N, L, L_Z)
-    body = "{\n    " + (node + ",\n    ").join(ids) + node + "\n  }" if n else "{}"  # each id, then its layout
-    values = np.concatenate([scheme.F.reshape(n, N * L), scheme.H.reshape(n, N * L_Z)], axis=1)  # per node, F then H
-    layout = '{\n  "name": %s,\n  "p": %s,\n  "L": %s,\n  "Lz": %s,\n  "N": %s,\n  "nodes": ' + body + "\n}\n"
-    return layout % (json.dumps(scheme.name), scheme.field.p, L, L_Z, N, *values.ravel().tolist())
+    head = '{\n  "name": %s,\n  "p": %s,\n  "L": %s,\n  "Lz": %s,\n  "N": %s,\n  "nodes": ' % (
+        json.dumps(scheme.name), scheme.field.p, scheme.L, scheme.L_Z, scheme.N
+    )
+    if not scheme.nodes:
+        return head + "{}\n}\n"
+    node, parts = _node_layout(scheme.N, scheme.L, scheme.L_Z), [head + "{\n    "]
+    for v, f, h in zip(scheme.nodes, scheme.F, scheme.H):
+        parts += (json.dumps(v), node % tuple(f.ravel().tolist() + h.ravel().tolist()), ",\n    ")
+    parts[-1] = "\n  }\n}\n"
+    return "".join(parts)
 
 
 # -- linear verifier ------------------------------------------------------------
@@ -569,7 +574,7 @@ def entropic_oracle_all(
 
 # -- simulation -----------------------------------------------------------------
 
-SIMULATE_BLOCK = 2**14  # trials decoded at once
+SIMULATE_BLOCK = 2**10  # trials decoded at once; a block's arrays stay near cache size
 
 
 @dataclass(frozen=True)
@@ -619,8 +624,12 @@ def simulate(inst: CdsInstance, scheme: LinearScheme, seed: int, trials: int) ->
     so D maps the pair's signals to the secret on every trial. An edge that
     is not decodable counts no success. S and Z are drawn, and the signals
     computed and decoded, in blocks of at most ``SIMULATE_BLOCK`` trials,
-    so memory does not grow with the trial count. Secrecy on unqualified
-    edges is checked by ``verify_linear`` and the entropic oracle, not here.
+    so memory does not grow with the trial count. Both products, [F|H]
+    [S;Z] for every node and D [y_v; y_u] for every decodable edge, go
+    through ``linalg.mod_matmul`` on float64 residues, which float64 holds
+    exactly; the kernel picks float64 or int64 arithmetic by its 2^53 rule.
+    Secrecy on unqualified edges is checked by ``verify_linear`` and the
+    entropic oracle, not here.
     """
     scheme.check_for_instance(inst)
     if seed < 0:
@@ -636,17 +645,15 @@ def simulate(inst: CdsInstance, scheme: LinearScheme, seed: int, trials: int) ->
     eye = np.broadcast_to(np.eye(2 * N, dtype=np.int64), (len(edges), 2 * N, 2 * N))
     _, wf_w = _edge_checks(scheme.F, scheme.H, ends, p, _partners(scheme.H, ends), eye)
     decodable = batch_rref(wf_w, p, L) == L
-    precoders = np.concatenate([scheme.F, scheme.H], axis=2)
-    ok_ends, decoder = ends[decodable], wf_w[decodable, :L, L:]
+    precoders = np.concatenate([scheme.F, scheme.H], axis=2, dtype=np.float64)
+    ok_ends, decoder = ends[decodable], wf_w[decodable, :L, L:].astype(np.float64)
     successes = np.zeros(len(edges), dtype=np.int64)
     # with no decodable edge there is nothing to decode, and D may have fewer than L rows
     for at in range(0, trials if decodable.any() else 0, SIMULATE_BLOCK):
         block = min(SIMULATE_BLOCK, trials - at)
-        draws = rng.integers(0, p, size=(L + scheme.L_Z, block), dtype=np.int64)  # S over Z
-        signals = precoders @ draws
-        signals %= p  # n x N x block
-        decoded = decoder @ signals[ok_ends].reshape(len(ok_ends), 2 * N, block)
-        decoded %= p  # D applied to each pair's signals
+        draws = rng.integers(0, p, size=(L + scheme.L_Z, block), dtype=np.int64).astype(np.float64)  # S over Z
+        signals = mod_matmul(precoders, draws, p)  # n x N x block
+        decoded = mod_matmul(decoder, signals[ok_ends].reshape(len(ok_ends), 2 * N, block), p)
         successes[decodable] += (decoded == draws[:L]).all(axis=1).sum(axis=1)
         del draws, signals, decoded  # so the next block's arrays do not overlap these
     sims = [

@@ -1,13 +1,17 @@
+import functools
 import itertools
+import math
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
-from cdscover.fields import FieldError, FieldMatrix, PrimeField
+from cdscover.fields import FieldError, FieldMatrix, PrimeField, is_prime, next_prime
 from cdscover.linalg import (
     batch_rref,
     cauchy_matrix,
+    mod_matmul,
     nullspace,
     rank_rref,
     residue_rank,
@@ -174,6 +178,69 @@ def test_batch_rref_large_prime():
     ranks = batch_rref(stack, p, 2)
     assert ranks.tolist() == [2, 1]
     assert stack.tolist() == [[[1, 0], [0, 1]], [[0, 1], [0, 0]]]
+
+
+@functools.lru_cache(maxsize=None)
+def _primes_around_float_bound(k: int) -> tuple[int, int]:
+    """The largest prime p with (p-1)^2 * k < 2^53, which ``mod_matmul``
+    multiplies in float64, and the smallest with (p-1)^2 * k >= 2^53,
+    which it multiplies in int64."""
+    top = math.isqrt((2**53 - 1) // k) + 1
+    below = top
+    while not is_prime(below):
+        below -= 1
+    above = next_prime(top + 1)
+    assert (below - 1) ** 2 * k < 2**53 <= (above - 1) ** 2 * k
+    return below, above
+
+
+@st.composite
+def products(draw):
+    """(p, a, b) for ``mod_matmul``: stacked shapes that broadcast, k = 0
+    included, small primes (103 among them, whose float quotient of 103 is
+    0) and for k > 0 the primes on either side of the float64 bound, with
+    all-(p-1) operands (the largest sums) drawn often."""
+    k = draw(st.integers(0, 6))
+    p = draw(st.sampled_from((2, 3, 13, 103) + (_primes_around_float_bound(k) if k else ())))
+    batch_a, batch_b = draw(st.sampled_from([((), ()), ((2,), (2,)), ((3, 1), (2,)), ((), (2,)), ((1,), (3,))]))
+    a_shape = batch_a + (draw(st.integers(0, 4)), k)
+    b_shape = batch_b + (k, draw(st.integers(0, 4)))
+    if draw(st.booleans()):
+        return p, np.full(a_shape, p - 1, dtype=np.int64), np.full(b_shape, p - 1, dtype=np.int64)
+    a, b = (draw(hnp.arrays(np.int64, shape, elements=st.integers(0, p - 1))) for shape in (a_shape, b_shape))
+    return p, a, b
+
+
+@given(products())
+@settings(max_examples=200, deadline=None)
+def test_mod_matmul_matches_int64_reference(case):
+    p, a, b = case
+    want = np.mod(a @ b, p)  # the reference: exact, since (p-1)^2 * k < 2^63 here
+    got = mod_matmul(a, b, p)
+    assert got.dtype == np.int64 and got.shape == want.shape
+    assert np.array_equal(got, want)
+    as_float = mod_matmul(a.astype(np.float64), b.astype(np.float64), p)  # the dtype follows the inputs
+    assert as_float.dtype == np.float64 and np.array_equal(as_float, want)
+
+
+@pytest.mark.parametrize(
+    "p, a, b",
+    [
+        # 103 * fl(1/103) rounds to just below 1, so the float quotient of
+        # c = 103 is 0 and the remainder p
+        (103, [[1, 102]], [[1], [1]]),
+        # just below the float64 bound for k = 2: c = 7037381460276190 is
+        # p - 1 mod p, and c * fl(1/p) rounds up to the next integer, so the
+        # remainder is -1
+        (67108529, [[67108528, 66908529]], [[67108528], [37870014]]),
+    ],
+    ids=["quotient-low", "quotient-high"],
+)
+def test_mod_matmul_corrects_the_float_quotient_both_ways(p, a, b):
+    a, b = np.array(a, dtype=np.int64), np.array(b, dtype=np.int64)
+    c = int((a @ b)[0, 0])
+    assert math.floor(float(c) * (1.0 / p)) != c // p
+    assert mod_matmul(a, b, p).tolist() == [[c % p]]
 
 
 def test_intersection_identical_spaces():
